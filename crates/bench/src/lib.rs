@@ -19,7 +19,7 @@ use repseq_apps::ilink::{Ilink, IlinkConfig, IlinkResult};
 use repseq_apps::kv::{KvConfig, KvResult, KvStore};
 use repseq_core::{RunConfig, Runtime, SeqMode};
 use repseq_dsm::{Backend, ClusterConfig};
-use repseq_sim::{Dur, HostExec, SimReport};
+use repseq_sim::{Dur, SimReport};
 use repseq_stats::{Section, StatsSnapshot};
 
 /// Benchmark scale, from `REPSEQ_SCALE`.
@@ -47,9 +47,9 @@ pub fn nodes_from_env() -> usize {
 }
 
 /// CPUs available to this process. Every BENCH artifact records this so a
-/// reader can tell whether wall-clock numbers (window-parallel speedups,
-/// native-backend throughput) were measured with real parallelism or on a
-/// single core; the gates that need ≥ 2 CPUs key off it.
+/// reader can tell whether wall-clock numbers (native-backend throughput,
+/// the KV sweep's fan-out) were measured with real parallelism or on a
+/// single core.
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
@@ -115,41 +115,20 @@ pub fn run_barnes_config(
     cfg: BhConfig,
     tlb_enabled: bool,
 ) -> RunOutcome<BhResult> {
-    run_barnes_report(mode, n, cfg, tlb_enabled, 1).0
+    run_barnes_report(mode, n, cfg, tlb_enabled).0
 }
 
-/// Like [`run_barnes_config`], but also selects the host thread count
-/// (`host_threads`, see `ClusterConfig`) and returns the kernel's
-/// [`SimReport`] alongside the outcome — the host-execution bench compares
-/// reports across thread counts and derives events/sec from them. Uses the
-/// automatic execution-mode promotion (serial at 1 thread, window-parallel
-/// at ≥ 2).
+/// Like [`run_barnes_config`], but also returns the kernel's
+/// [`SimReport`] alongside the outcome — the host-execution bench derives
+/// events/sec from it.
 pub fn run_barnes_report(
     mode: SeqMode,
     n: usize,
     cfg: BhConfig,
     tlb_enabled: bool,
-    host_threads: usize,
-) -> (RunOutcome<BhResult>, SimReport) {
-    run_barnes_exec(mode, n, cfg, tlb_enabled, host_threads, None)
-}
-
-/// The fully explicit Barnes-Hut runner: thread count *and* forced host
-/// execution mode (`None` = automatic promotion). The host-execution bench
-/// uses this to put the serial coordinator, duty-handoff and
-/// window-parallel engines side by side at the same thread count.
-pub fn run_barnes_exec(
-    mode: SeqMode,
-    n: usize,
-    cfg: BhConfig,
-    tlb_enabled: bool,
-    host_threads: usize,
-    host_exec: Option<HostExec>,
 ) -> (RunOutcome<BhResult>, SimReport) {
     let mut cluster = ClusterConfig::paper(n);
     cluster.dsm.tlb_enabled = tlb_enabled;
-    cluster.host_threads = host_threads;
-    cluster.host_exec = host_exec;
     let mut rt = Runtime::new(RunConfig { cluster, seq_mode: mode });
     let app = BarnesHut::setup(&mut rt, cfg);
     let stats = rt.stats();

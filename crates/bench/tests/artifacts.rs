@@ -71,31 +71,56 @@ fn native_artifact_records_the_des_gated_comparison() {
     }
 }
 
-/// The committed host-execution artifact must be at the v3 schema and
-/// carry the window-parallel column: per-cluster `parallel` runs with the
-/// window engine's counters next to the serial and duty-handoff baselines.
+/// The committed host-execution artifact must be at the v4 schema: one
+/// engine, repeated samples per cluster size with their spread, and the
+/// engine's switch counters.
 #[test]
-fn host_artifact_records_window_parallel_runs() {
+fn host_artifact_records_the_engine_trajectory() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let host = std::fs::read_to_string(root.join("BENCH_host.json"))
         .expect("BENCH_host.json must be committed");
     assert!(
-        host.contains("\"schema_version\": 3"),
-        "BENCH_host.json must carry the v3 schema (window-parallel column)"
+        host.contains("\"schema_version\": 4"),
+        "BENCH_host.json must carry the v4 schema (single-engine trajectory)"
     );
     for key in [
-        "\"parallel\":",
-        "\"parallel_threads\":",
         "\"host_cpus\":",
-        "\"windows\":",
-        "\"max_parallel_groups\":",
-        "\"barrier_stalls\":",
-        "\"handoff_speedup\":",
-        "\"parallel_speedup\":",
+        "\"samples\":",
+        "\"median\":",
+        "\"min\":",
+        "\"max\":",
+        "\"host_wall_s\":",
+        "\"events_per_sec\":",
+        "\"handoff_switches\":",
+        "\"self_continues\":",
     ] {
+        assert!(host.contains(key), "BENCH_host.json v4 must record {key}");
+    }
+    for removed in ["\"parallel\":", "\"serial\":", "\"windows\":"] {
+        assert!(!host.contains(removed), "BENCH_host.json v4 has no {removed} column");
+    }
+    for nodes in [32, 64, 256] {
         assert!(
-            host.contains(key),
-            "BENCH_host.json v3 must record the window-parallel runs: missing {key}"
+            host.contains(&format!("{{\"nodes\": {nodes},")),
+            "BENCH_host.json must cover {nodes} nodes"
+        );
+    }
+}
+
+/// EXPERIMENTS.md quotes the strategy comparison's simulated totals from
+/// `BENCH_modes.json`; the quoted figures must be the artifact's.
+#[test]
+fn experiments_quotes_the_modes_artifact() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let modes = std::fs::read_to_string(root.join("BENCH_modes.json"))
+        .expect("BENCH_modes.json must be committed");
+    let doc = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+    for key in ["master_only_time_s", "rse_time_s"] {
+        let at = modes.find(&format!("\"{key}\": ")).unwrap_or_else(|| panic!("no {key}"));
+        let value = modes[at + key.len() + 4..].split(',').next().expect("a value").trim();
+        assert!(
+            doc.contains(&format!("`{key}` ({value} s)")),
+            "EXPERIMENTS.md must quote BENCH_modes.json's {key} = {value}"
         );
     }
 }

@@ -290,7 +290,7 @@ impl RaceDetector {
     pub fn new(n: usize, cfg: RaceConfig) -> RaceDetector {
         assert!(n >= 1);
         assert!(cfg.granule.is_power_of_two() && cfg.granule >= 1);
-        assert!(cfg.page_size.is_multiple_of(cfg.granule), "granule must divide the page size");
+        assert!(cfg.page_size % cfg.granule == 0, "granule must divide the page size");
         let startup: Arc<str> = Arc::from("startup");
         RaceDetector {
             inner: Mutex::new(Inner {

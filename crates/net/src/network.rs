@@ -90,9 +90,9 @@ impl Network {
     /// Every frame the loss injector dropped so far, in canonical
     /// `(at, src, dst, pair_seq, multicast)` order. The decisions
     /// themselves are deterministic (keyed per `(src, dst, medium)` frame
-    /// counters), but under window-parallel host execution the *log append*
-    /// order depends on worker scheduling — sorting by the decision key
-    /// restores a host-invariant view.
+    /// counters), but on the native backend the *log append* order depends
+    /// on thread scheduling — sorting by the decision key restores a
+    /// host-invariant view.
     pub fn loss_events(&self) -> Vec<LossEvent> {
         let mut log = self.drop_log.lock().clone();
         log.sort_by_key(|e| (e.at, e.src, e.dst, e.pair_seq, e.multicast));
@@ -150,33 +150,24 @@ impl Nic {
         let now = ctx.now();
         self.net.stats.on_message(self.node, class, payload_bytes);
         let wire = cfg.unicast_wire_time(payload_bytes);
-        let deliver_at = if dst_node == self.node {
-            // Loopback: no switch traversal, and the transmit link is
-            // touched only by this node's own (serialized) processes, so
-            // no cross-group ordering is needed.
+        let deliver_at = {
             let mut l = self.net.links.lock();
+            // Serialize on the sender's transmit link.
             let t0 = now.max(l.tx_free[self.node]);
             let tx_done = t0 + wire;
             l.tx_free[self.node] = tx_done;
-            tx_done
-        } else {
-            // The receiver's switch port is shared among all senders:
-            // reservations must happen in global event order or the
-            // computed queueing delays differ between host exec modes.
-            ctx.ordered(|| {
-                let mut l = self.net.links.lock();
-                // Serialize on the sender's transmit link.
-                let t0 = now.max(l.tx_free[self.node]);
-                let tx_done = t0 + wire;
-                l.tx_free[self.node] = tx_done;
+            if dst_node == self.node {
+                // Loopback: no switch traversal.
+                tx_done
+            } else {
                 // Store-and-forward at the switch, then serialize on the
-                // receiver's output port.
+                // receiver's output port, which all senders share.
                 let at_port = tx_done + cfg.switch_latency;
                 let t1 = at_port.max(l.rx_free[dst_node]);
                 let rx_done = t1 + wire;
                 l.rx_free[dst_node] = rx_done;
                 rx_done
-            })
+            }
         };
         let at = deliver_at + cfg.recv_sw_overhead;
         if !self.dropped_unicast(class, dst_node, at) {
@@ -202,15 +193,15 @@ impl Nic {
         let now = ctx.now();
         self.net.stats.on_message(self.node, class, payload_bytes);
         let wire = cfg.multicast_wire_time(payload_bytes);
-        let deliver_at = ctx.ordered(|| {
+        let deliver_at = {
             let mut l = self.net.links.lock();
             // The hub is one shared half-duplex medium: every node
-            // contends for it, so reservations take global event order.
+            // contends for it.
             let t0 = now.max(l.hub_free);
             let done = t0 + wire;
             l.hub_free = done;
             done + cfg.hub_latency
-        });
+        };
         let at = deliver_at + cfg.recv_sw_overhead;
         for &(dst_node, dst) in dsts {
             if self.dropped(class, dst_node, at, true) {
@@ -238,13 +229,13 @@ impl Nic {
         let now = ctx.now();
         self.net.stats.on_message(self.node, class, payload_bytes);
         let wire = cfg.multicast_wire_time(payload_bytes);
-        let deliver_at = ctx.ordered(|| {
+        let deliver_at = {
             let mut l = self.net.links.lock();
             let t0 = now.max(l.hub_free);
             let done = t0 + wire;
             l.hub_free = done;
             done + cfg.hub_latency
-        });
+        };
         let at = deliver_at + cfg.recv_sw_overhead;
         for &(_, dst) in dsts {
             ctx.send(dst, msg.clone(), at);

@@ -1,90 +1,55 @@
 //! The discrete-event kernel.
 //!
-//! Every simulated process is an OS thread that cooperates with the engine:
-//! processes interact with the kernel only through [`Ctx`](crate::Ctx) —
-//! charging compute time, sending messages with an explicit delivery time
-//! (computed by the network layer), and blocking receives. `send` never
-//! yields; `recv`/`sleep` do. Local computation between yields is free in
-//! wall-clock terms (no context switch) and is folded into the process clock
-//! at the next yield point.
+//! Every simulated process is a stackful coroutine ([`crate::fiber`]) that
+//! runs on the thread calling [`Sim::run`]. Processes interact with the
+//! kernel only through [`Ctx`](crate::Ctx) — charging compute time, sending
+//! messages with an explicit delivery time (computed by the network layer),
+//! and blocking receives. `send` never yields; `recv`/`sleep` do. Local
+//! computation between yields is free in wall-clock terms and is folded
+//! into the process clock at the next yield point.
 //!
-//! The engine always *applies* events in ascending `(time, src_group, seq)`
-//! order per group, and globally that order is identical across every host
-//! execution mode, so each run is bit-for-bit deterministic — a property the
-//! reproduced paper *relies on* (replicated sequential execution assumes
-//! deterministic sequential sections) and which makes every experiment in
-//! this repository reproducible.
+//! The run loop pops events in ascending `(time, src_group, seq)` order and
+//! applies them. When an event resumes a process, the loop switches into
+//! that process's coroutine, which runs until it blocks again (or exits)
+//! and switches back: two user-space stack switches per resume, no OS
+//! thread and no channel. Each run is therefore bit-for-bit deterministic —
+//! a property the reproduced paper *relies on* (replicated sequential
+//! execution assumes deterministic sequential sections) and which makes
+//! every experiment in this repository reproducible.
 //!
-//! # Event sharding and host execution modes
+//! # Event sharding
 //!
 //! Pending events live in per-*group* ordered queues (a group is normally
 //! one simulated node: its application and protocol-handler processes) with
 //! a lazy merge index over the group heads — see [`EventQueues`]. Event keys
 //! are `(time, src_group, seq)` where `src_group` is the scheduling group of
 //! the *pushing* process and `seq` is drawn from that group's private
-//! counter. Because each group's execution is serialized in every mode, the
-//! keys — and therefore the global pop order — never depend on how the host
-//! happened to interleave worker threads.
-//!
-//! Three host execution modes drive that order:
-//!
-//! * **Serial** (default): a coordinator thread pops every event and does a
-//!   channel round trip with a process thread for every resume — two host
-//!   context switches per yield.
-//! * **Handoff** ([`Sim::set_exec`] with [`HostExec::Handoff`]): the process
-//!   threads themselves drive the kernel. At a yield, the blocking process
-//!   keeps *duty*: it pops and applies events inline (no switch), resumes
-//!   itself without any switch, and hands duty directly to another process
-//!   with a single switch. Execution is still serialized by the duty token —
-//!   this mode measures context-switch economy, not parallelism.
-//! * **Window** ([`Sim::set_parallel`] with 2+ threads): true conservative
-//!   parallel execution. Each *window*, the coordinator computes the safe
-//!   horizon `H = min(next event time across groups) + lookahead` and
-//!   dispatches every group whose head falls below `H` to a pool of host
-//!   worker threads concurrently. Within the window each group drains its
-//!   own queue (the intra-group duty handoff of the Handoff mode is
-//!   preserved); cross-group sends are buffered per source group and merged
-//!   into the destination queues at the window barrier, in `(time,
-//!   src_group, seq)` order. The network model charges at least `lookahead`
-//!   of virtual latency on every cross-group message, so no event below the
-//!   horizon can be created during the window — the per-group drains are
-//!   provably the same prefixes the serial coordinator would have executed,
-//!   and every [`SimReport`] field is bit-identical to the serial mode.
-//!   Shared network link state is serialized in exact serial order by a
-//!   window-scoped arbiter ([`Ctx::ordered`](crate::Ctx::ordered)).
+//! counter, so ties at one instant break by source group, then push order.
 //!
 //! # End of run
 //!
 //! When the last primary process exits, the engine finishes the lookahead
-//! window the exit fell into — bounded by the current horizon — and stops.
-//! With no groups or zero lookahead the horizon is degenerate and the run
-//! stops at the exit event exactly as before; with windows this rule makes
-//! the tail of the run identical across all three modes (a parallel window
-//! cannot be cut short retroactively, so the serial modes finish it too).
+//! window the exit fell into — every event below `t + lookahead`, where `t`
+//! is the time of the first pop at or past the previous horizon — and
+//! stops. With no groups or zero lookahead the horizon is degenerate and
+//! the run stops at the exit event.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::ctx::{Ctx, Resume};
+use crate::ctx::Ctx;
 use crate::error::SimError;
+use crate::fiber::Fiber;
 use crate::trace::TraceEntry;
 use repseq_substrate::{Dur, Envelope, Pid, SimTime, Stopped};
 
 /// Event key: `(delivery time, source group, per-source-group sequence)`.
-/// Assigned at push from the pushing process's group counter, so keys are
-/// identical in every host execution mode; the global pop order is the
-/// ascending key order.
-pub(crate) type EvKey = (SimTime, u64, u64);
-
-/// Sentinel above every real key (used by the window arbiter for groups
-/// that are inactive or have finished their window).
-pub(crate) const KEY_MAX: EvKey = (SimTime::from_nanos(u64::MAX), u64::MAX, u64::MAX);
+/// Assigned at push from the pushing process's group counter; the global
+/// pop order is the ascending key order.
+type EvKey = (SimTime, u64, u64);
 
 pub(crate) enum EventKind<M> {
     /// Wake a process (timer expiry or receive checkpoint). Stale if the
@@ -114,7 +79,7 @@ pub(crate) struct Event<M> {
 /// Sharded pending-event store: one ordered map per group plus a lazy merge
 /// index over the group heads.
 ///
-/// Invariant (serial/handoff pops): for every non-empty group, either the
+/// Invariant: for every non-empty group, either the
 /// merge heap contains an entry carrying the group's current head key, or
 /// that head is the `deferred` slot. The heap may additionally hold *stale*
 /// entries — keys already consumed — which are strictly smaller than their
@@ -126,11 +91,6 @@ pub(crate) struct Event<M> {
 /// global minimum at the next pop (true for any run of consecutive events
 /// on one node), it is consumed with two `BTreeMap` operations and no heap
 /// traffic at all.
-///
-/// The window execution mode never uses the merge index: it reads group
-/// heads directly ([`head_of`](Self::head_of)) and inserts without touching
-/// the heap ([`insert_plain`](Self::insert_plain)), so the heap cannot
-/// accumulate stale entries across a windowed run.
 struct EventQueues<M> {
     groups: Vec<BTreeMap<EvKey, EventKind<M>>>,
     heads: BinaryHeap<Reverse<(EvKey, usize)>>,
@@ -206,15 +166,6 @@ impl<M> EventQueues<M> {
         }
     }
 
-    /// Insert without maintaining the merge index (window mode, which pops
-    /// via [`take_from`](Self::take_from) and never consults the heap).
-    fn insert_plain(&mut self, key: EvKey, kind: EventKind<M>) {
-        let g = self.group_of[kind.target()];
-        let dup = self.groups[g].insert(key, kind);
-        debug_assert!(dup.is_none(), "duplicate event key");
-        self.len += 1;
-    }
-
     fn pop(&mut self) -> Option<Event<M>> {
         if let Some((dk, dg)) = self.deferred.take() {
             // Sprint: stale heap entries only under-estimate other groups'
@@ -245,19 +196,6 @@ impl<M> EventQueues<M> {
         Event { time: key.0, src: key.1, seq: key.2, kind }
     }
 
-    /// Current head key of group `g` (window mode; bypasses the index).
-    fn head_of(&self, g: usize) -> Option<EvKey> {
-        self.groups[g].first_key_value().map(|(&k, _)| k)
-    }
-
-    /// Remove and return group `g`'s head event (window mode; bypasses the
-    /// index — the caller already knows `key` is the head).
-    fn take_from(&mut self, key: EvKey, g: usize) -> Event<M> {
-        let kind = self.groups[g].remove(&key).expect("window head vanished");
-        self.len -= 1;
-        Event { time: key.0, src: key.1, seq: key.2, kind }
-    }
-
     /// Exact global minimum key, by scanning the group heads. Used only on
     /// the quiescence tail after the last primary exit, where the lazy
     /// index may be arbitrarily stale.
@@ -269,7 +207,7 @@ impl<M> EventQueues<M> {
 /// What a blocked process is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Status {
-    /// Currently executing (at most one process per group at a time).
+    /// Currently executing (at most one process at a time).
     Running,
     /// Waiting for a timer.
     Sleeping,
@@ -282,6 +220,17 @@ pub(crate) enum Status {
     Exited,
 }
 
+/// Why a blocked process was switched back into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Resume {
+    /// An event resumed it at its slot's clock; `timed_out` when that event
+    /// was the deadline of a receive.
+    Go { timed_out: bool },
+    /// The run is over: the pending blocking call, and every later one,
+    /// returns [`Stopped`].
+    Stop,
+}
+
 pub(crate) struct ProcSlot<M> {
     pub name: String,
     pub daemon: bool,
@@ -291,335 +240,55 @@ pub(crate) struct ProcSlot<M> {
     pub gen: u64,
     pub clock: SimTime,
     pub mailbox: VecDeque<Envelope<M>>,
-    pub resume_tx: Sender<Resume>,
-    pub panicked: bool,
+    /// Set by the kernel before it switches into the process.
+    pub resume: Resume,
 }
 
-/// How the host drives the (unchanged) global event order. Public
-/// selector; see the module docs for the three modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HostExec {
-    /// Coordinator thread pops; every resume is a channel round trip.
-    Serial,
-    /// Yielding processes drive the kernel themselves and hand duty
-    /// directly to the process they resume (serialized by the duty token).
-    Handoff,
-    /// Window-parallel conservative execution: independent groups run
-    /// concurrently on host worker threads between lookahead barriers.
-    Window,
-}
-
-pub(crate) type ExecMode = HostExec;
-
-/// Host-execution counters for one run (see the module docs). These
-/// describe how the *host* drove the simulation — they are not part of the
-/// simulation result and are excluded from determinism fingerprints: a
-/// serial run, a handoff run and a window-parallel run of the same workload
-/// produce different counters but identical reports otherwise.
+/// Host-execution counters for one run. These describe how the *host*
+/// drove the simulation — they are not part of the simulation result and
+/// are excluded from determinism fingerprints.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecCounters {
-    /// Handoff mode: maximal bursts of consecutive events executed by one
-    /// duty holder without returning to the coordinator. Window mode:
-    /// number of barrier-delimited parallel windows executed.
-    pub windows: u64,
     /// Pops served straight from the last group's queue, bypassing the
-    /// merge index (consecutive same-node events; serial/handoff modes).
+    /// merge index (consecutive same-node events).
     pub sprint_pops: u64,
-    /// Direct duty transfers that resumed a process over its channel
-    /// without a serial-coordinator round trip (handoff chains, and window
-    /// workers resuming group processes).
+    /// Coroutine resumes: each is a switch into a process and, when it
+    /// blocks or exits, a switch back to the run loop.
     pub handoff_switches: u64,
-    /// Resumes where the duty holder resumed *itself* — zero host context
-    /// switches (handoff and window modes).
+    /// The subset of [`handoff_switches`](Self::handoff_switches) that
+    /// resumed the process that had just blocked — no other process ran
+    /// in between.
     pub self_continues: u64,
-    /// Events applied without resuming anyone (deliveries to busy
-    /// processes, checkpoint wakes, stale wakes) by a duty-holding process.
+    /// Events applied without resuming anyone: deliveries to busy
+    /// processes, checkpoint wakes that found an empty mailbox, stale
+    /// wakes.
     pub inline_events: u64,
-    /// Window mode: largest number of groups dispatched concurrently in
-    /// one window (capped by the worker-thread count).
-    pub max_parallel_groups: u64,
-    /// Window mode: windows with a single runnable group, executed inline
-    /// by the coordinator — the barrier bought no parallelism there.
-    pub barrier_stalls: u64,
-}
-
-/// What applying one event did (see [`Kernel::apply`]).
-enum Resumption {
-    /// `Resume::Go` was sent to another process.
-    Cross,
-    /// The applying process resumed itself; nothing was sent. `key` is the
-    /// resuming event's key — the group's running envelope from here on.
-    SelfGo { key: EvKey, timed_out: bool },
-}
-
-/// What a [`Kernel::drain`] / [`Kernel::drain_window`] call ended with.
-pub(crate) enum DrainOutcome {
-    /// No events left while this drainer held duty (window mode: none left
-    /// below the horizon — the group's window is complete).
-    Empty,
-    /// Duty was handed to the resumed process.
-    Handoff,
-    /// The draining process resumed itself (only when `me` was given).
-    SelfResume { key: EvKey, timed_out: bool },
-}
-
-/// Per-window kernel state (window mode only; `None` between windows).
-/// The allocation is recycled across windows: the barrier drains the
-/// active groups' slots and hands the carcass back to the planner, so a
-/// steady-state window costs no per-group allocations.
-struct WindowState<M> {
-    /// Group ids active in this window, ascending (the planner scans
-    /// groups in id order). Only these slots are touched.
-    active: Vec<usize>,
-    /// Single-active window: driven inline by the coordinator with the
-    /// cross-group arbiter bypassed entirely — no other group runs, so
-    /// there is nothing to order against.
-    solo: bool,
-    /// Events strictly below this virtual time belong to the window.
-    horizon: SimTime,
-    /// Latest popped event time in this window (folded into `end_time` at
-    /// the barrier).
-    max_time: SimTime,
-    /// Per-group control routes: `Ctrl` messages from a group's processes
-    /// must reach the worker currently driving that group.
-    routes: Vec<Option<Sender<Ctrl>>>,
-    /// Cross-group events pushed during the window, buffered per *source*
-    /// group and merged into the destination queues at the barrier. Every
-    /// buffered key is `>= horizon` (conservative-lookahead contract), and
-    /// keys are mode-independent, so the keyed merge is deterministic.
-    outboxes: Vec<Vec<(EvKey, EventKind<M>)>>,
-    /// Per-group trace buffers, merged in key order at the barrier (only
-    /// allocated when tracing).
-    traces: Option<Vec<Vec<TraceEntry>>>,
-    /// Process exits observed during the window, per group in observation
-    /// order. Collected at the barrier in group order, so exit processing
-    /// never depends on which worker observed the exit first.
-    exits: Vec<Vec<(Pid, bool)>>,
-}
-
-impl<M> WindowState<M> {
-    fn new(n_groups: usize, horizon: SimTime, tracing: bool) -> Self {
-        WindowState {
-            active: Vec::new(),
-            solo: false,
-            horizon,
-            max_time: SimTime::ZERO,
-            routes: (0..n_groups).map(|_| None).collect(),
-            outboxes: (0..n_groups).map(|_| Vec::new()).collect(),
-            traces: tracing.then(|| (0..n_groups).map(|_| Vec::new()).collect()),
-            exits: (0..n_groups).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// Re-arm a recycled window for the next round. The previous barrier
-    /// drained every per-group slot, so only the header fields need
-    /// resetting.
-    fn rearm(&mut self, horizon: SimTime, active: Vec<usize>, solo: bool) {
-        debug_assert!(self.active.is_empty());
-        self.active = active;
-        self.solo = solo;
-        self.horizon = horizon;
-        self.max_time = SimTime::ZERO;
-    }
-}
-
-/// The cross-thread window arbiter: per-group *positions* behind a plain
-/// std mutex + condvar, separate from the kernel lock so processes can wait
-/// on it without blocking the kernel.
-///
-/// A group's position is the **running envelope** of its window: the
-/// maximum event key it has popped so far (`KEY_MAX` when inactive or
-/// finished). Raw per-group pop sequences are not monotone in key — a
-/// process's same-instant follow-ups (checkpoint wakes, local sends) carry
-/// its own group id, which can sort below an already-consumed key from a
-/// higher group — but the serial coordinator provably pops across groups
-/// in ascending *envelope* order: a group's head can only drop below
-/// another group's pending key through its own execution, which the serial
-/// loop runs only after popping the (larger) key that resumed it. The
-/// envelope is monotone and its values are globally unique event keys, so
-/// ordering by it is total, the least-envelope group can always proceed
-/// (deadlock freedom), and a group admitted once can never be undercut by
-/// a later-created smaller key (its envelope already covers it).
-///
-/// [`Ctx::ordered`](crate::Ctx::ordered) blocks until every other group's
-/// position is strictly greater than the caller's envelope, so operations
-/// on shared *simulated* resources (network links) execute in exactly the
-/// serial global order while unrelated compute still overlaps.
-pub(crate) struct WindowSync {
-    /// Fast-path gate: false outside window-mode runs, so `ordered` costs
-    /// one relaxed load in the serial and handoff modes.
-    enabled: AtomicBool,
-    /// True only while a *multi-group* window is in flight. Single-active
-    /// windows bypass the arbiter entirely (nothing to order against), so
-    /// `ordered` stays two atomic loads on the majority of windows.
-    multi: AtomicBool,
-    /// Number of processes blocked in [`await_turn`](Self::await_turn).
-    /// Mutated only under `inner`; read lock-free by drains to skip the
-    /// per-pop position publish while nobody is watching.
-    waiters: AtomicUsize,
-    inner: StdMutex<SyncState>,
-    cv: Condvar,
-}
-
-struct SyncState {
-    /// True while a multi-group window is in flight.
-    windowing: bool,
-    /// pid → group, copied from the kernel at run start.
-    group_of: Vec<usize>,
-    /// Published per-group envelopes. May lag a group's true envelope
-    /// while no waiter exists (publishing is gated on `waiters`); every
-    /// path on which a group stops popping republishes — next pop with a
-    /// waiter present, [`await_turn`](WindowSync::await_turn) publishing
-    /// the caller's own key, or [`finish_group`](WindowSync::finish_group)
-    /// — so a waiter only ever blocks on a *live* understatement.
-    positions: Vec<EvKey>,
-}
-
-impl WindowSync {
-    fn new() -> Self {
-        WindowSync {
-            enabled: AtomicBool::new(false),
-            multi: AtomicBool::new(false),
-            waiters: AtomicUsize::new(0),
-            inner: StdMutex::new(SyncState {
-                windowing: false,
-                group_of: Vec::new(),
-                positions: Vec::new(),
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SyncState> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Anyone blocked in the arbiter right now? Lock-free; drains use it
-    /// to skip [`advance`](Self::advance) on the uncontended fast path.
-    #[inline]
-    pub(crate) fn has_waiters(&self) -> bool {
-        self.waiters.load(Ordering::Relaxed) > 0
-    }
-
-    /// Open a multi-group window: active groups start positioned at their
-    /// head keys (set before dispatch, so a group whose worker has not
-    /// started yet already holds its place in the arbiter); everyone else
-    /// is `KEY_MAX`. Single-active windows never call this.
-    fn begin_window(&self, active: &[(usize, EvKey)]) {
-        let mut s = self.lock();
-        s.positions.iter_mut().for_each(|p| *p = KEY_MAX);
-        for &(g, key) in active {
-            s.positions[g] = key;
-        }
-        s.windowing = true;
-        drop(s);
-        self.multi.store(true, Ordering::Release);
-    }
-
-    /// Publish event `key` (just popped by group `g`) as the group's
-    /// envelope position. Only called when a waiter exists (or from the
-    /// always-published paths); the fold keeps it monotone regardless.
-    fn advance(&self, g: usize, key: EvKey) {
-        let mut s = self.lock();
-        if key > s.positions[g] {
-            s.positions[g] = key;
-            if self.has_waiters() {
-                self.cv.notify_all();
-            }
-        }
-    }
-
-    /// Group `g` finished its window. Always published: a finished group
-    /// pops no more, so its `KEY_MAX` must be visible to present *and
-    /// future* waiters.
-    fn finish_group(&self, g: usize) {
-        let mut s = self.lock();
-        s.positions[g] = KEY_MAX;
-        if self.has_waiters() {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Close the window (barrier reached, or the run is unwinding).
-    fn end_window(&self) {
-        self.multi.store(false, Ordering::Release);
-        let mut s = self.lock();
-        s.windowing = false;
-        self.cv.notify_all();
-    }
-
-    /// Block until every other group is strictly past `mine`, the key of
-    /// the event that resumed the calling process — which *is* its group's
-    /// current envelope: the group's drain stopped at that pop, and only
-    /// resumes after this process blocks again. No-op outside multi-group
-    /// windows.
-    pub(crate) fn await_turn(&self, pid: Pid, mine: EvKey) {
-        if !self.enabled.load(Ordering::Acquire) || !self.multi.load(Ordering::Acquire) {
-            return;
-        }
-        let mut s = self.lock();
-        if !s.windowing {
-            return;
-        }
-        let g = s.group_of[pid];
-        // Publish our own envelope: gated publishing means `positions[g]`
-        // may understate it, and a mutual-understatement standoff between
-        // two waiting groups would deadlock.
-        if mine > s.positions[g] {
-            s.positions[g] = mine;
-            if self.has_waiters() {
-                self.cv.notify_all();
-            }
-        }
-        loop {
-            let blocked = s.positions.iter().enumerate().any(|(h, &k)| h != g && k <= mine);
-            if !s.windowing || !blocked {
-                return;
-            }
-            self.waiters.fetch_add(1, Ordering::Relaxed);
-            s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
-            self.waiters.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
 }
 
 pub(crate) struct Kernel<M> {
     queues: EventQueues<M>,
     pub procs: Vec<ProcSlot<M>>,
     /// Per-source-group event sequence counters (index = group id at push
-    /// time). Each group's pushes are serialized by its own execution, so
-    /// the counters are deterministic in every host mode — no worker-raced
-    /// global counter.
+    /// time).
     seqs: Vec<u64>,
     pub trace: Option<Vec<TraceEntry>>,
     /// Count of popped events, for the report.
     pub events_processed: u64,
-    /// Virtual time of the last popped event (window mode: updated at
-    /// barriers).
+    /// Virtual time of the last popped event.
     pub end_time: SimTime,
-    pub mode: ExecMode,
     /// Conservative lookahead: the minimum virtual latency of any
-    /// cross-group message, used for window construction and validation.
-    pub lookahead: Dur,
-    /// Host worker threads for the window mode.
-    pub host_threads: usize,
+    /// cross-group message. Bounds the quiescence tail after the last
+    /// primary exit, and is validated on every cross-group send in debug
+    /// builds.
+    lookahead: Dur,
     /// True once groups were explicitly assigned (enables the lookahead
-    /// check and the window mode — with default per-pid groups, same-node
-    /// traffic crosses groups at zero latency and windows collapse).
+    /// check and the horizon — with default per-pid groups, same-node
+    /// traffic crosses groups at zero latency).
     grouped: bool,
     /// End of the lookahead window the last pop fell into (grouped runs
     /// with nonzero lookahead; stays ZERO otherwise). The quiescence tail
     /// after the last primary exit is bounded by this horizon.
     cur_horizon: SimTime,
-    /// In-flight window (window mode only).
-    window: Option<WindowState<M>>,
-    /// True for the whole window-mode run: inserts skip the merge index.
-    windowing: bool,
-    /// Shared with every `Ctx` for the link-order arbiter.
-    pub sync: Arc<WindowSync>,
-    /// Global control channel (serial loop, unwinding, and the fallback
-    /// route when no window is active).
-    pub(crate) ctrl_tx: Sender<Ctrl>,
     pub exec: ExecCounters,
 }
 
@@ -633,38 +302,17 @@ impl<M> Kernel<M> {
         }
         let seq = self.seqs[sg];
         self.seqs[sg] += 1;
-        let key = (time, sg as u64, seq);
-        if let Some(w) = &mut self.window {
-            let tg = self.queues.group_of[kind.target()];
-            if tg != sg {
-                debug_assert!(
-                    time >= w.horizon,
-                    "cross-group delivery below the window horizon: at {time:?}, \
-                     horizon {:?}, lookahead {:?}",
-                    w.horizon,
-                    self.lookahead
-                );
-                w.outboxes[sg].push((key, kind));
-                return;
-            }
-            self.queues.insert_plain(key, kind);
-            return;
-        }
         #[cfg(debug_assertions)]
         self.assert_lookahead(time, &kind);
-        if self.windowing {
-            self.queues.insert_plain(key, kind);
-        } else {
-            self.queues.push(key, kind);
-        }
+        self.queues.push((time, sg as u64, seq), kind);
     }
 
     /// Validate the conservative-lookahead contract: a running process can
     /// only affect *another* node at least `lookahead` of virtual time in
-    /// the future. This is what makes a window safe — no cross-node event
-    /// can appear under a draining group's feet — and it holds because the
-    /// network model charges at least the minimum cross-node latency on
-    /// every inter-node message.
+    /// the future. It holds because the network model charges at least the
+    /// minimum cross-node latency on every inter-node message, and the
+    /// quiescence tail relies on it: no event below the horizon can appear
+    /// on another node after the horizon was set.
     #[cfg(debug_assertions)]
     fn assert_lookahead(&self, time: SimTime, kind: &EventKind<M>) {
         if !self.grouped || self.lookahead == Dur::ZERO {
@@ -688,8 +336,7 @@ impl<M> Kernel<M> {
         self.procs[pid].gen
     }
 
-    /// Pop the globally next event and do the per-event bookkeeping
-    /// (serial and handoff modes).
+    /// Pop the globally next event and do the per-event bookkeeping.
     fn pop_next(&mut self) -> Option<Event<M>> {
         let ev = self.queues.pop()?;
         debug_assert!(ev.time >= self.end_time, "kernel time went backwards");
@@ -704,15 +351,9 @@ impl<M> Kernel<M> {
         Some(ev)
     }
 
-    /// Apply a popped event. Returns what resumption, if any, it caused;
-    /// `me` is the applying process (duty holder), which is resumed in
-    /// place instead of through its channel.
-    fn apply(&mut self, ev: Event<M>, me: Option<Pid>) -> Option<Resumption> {
-        // The event's queue key rides along into the resumption: a resumed
-        // process's group envelope *is* this key (its group drains only
-        // resume after it blocks again), so `Ctx::ordered` can hand the
-        // arbiter its true position without taking the kernel lock.
-        let key = (ev.time, ev.src, ev.seq);
+    /// Apply a popped event. Returns the process it resumed, if any; the
+    /// caller must switch into it.
+    fn apply(&mut self, ev: Event<M>) -> Option<Pid> {
         match ev.kind {
             EventKind::Wake { pid, gen } => {
                 let slot = &self.procs[pid];
@@ -723,14 +364,14 @@ impl<M> Kernel<M> {
                     return None; // stale wake
                 }
                 match slot.status {
-                    Status::Sleeping => Some(self.resume(pid, key, false, me)),
+                    Status::Sleeping => Some(self.resume(pid, ev.time, false)),
                     Status::Polling { deadline } => {
                         if !self.procs[pid].mailbox.is_empty() {
-                            Some(self.resume(pid, key, false, me))
+                            Some(self.resume(pid, ev.time, false))
                         } else if deadline == Some(ev.time) {
                             // Zero-length timeout: the checkpoint *is* the
                             // deadline.
-                            Some(self.resume(pid, key, true, me))
+                            Some(self.resume(pid, ev.time, true))
                         } else {
                             self.procs[pid].status = Status::Waiting { deadline };
                             None
@@ -739,7 +380,7 @@ impl<M> Kernel<M> {
                     Status::Waiting { deadline } => {
                         // Only the deadline wake is still live for a waiter.
                         debug_assert_eq!(deadline, Some(ev.time));
-                        Some(self.resume(pid, key, true, me))
+                        Some(self.resume(pid, ev.time, true))
                     }
                     Status::Running | Status::Exited => None,
                 }
@@ -751,145 +392,22 @@ impl<M> Kernel<M> {
                 }
                 slot.mailbox.push_back(env);
                 match slot.status {
-                    Status::Waiting { .. } => Some(self.resume(dst, key, false, me)),
+                    Status::Waiting { .. } => Some(self.resume(dst, ev.time, false)),
                     _ => None,
                 }
             }
         }
     }
 
-    fn resume(&mut self, pid: Pid, key: EvKey, timed_out: bool, me: Option<Pid>) -> Resumption {
+    fn resume(&mut self, pid: Pid, at: SimTime, timed_out: bool) -> Pid {
         let slot = &mut self.procs[pid];
-        debug_assert!(slot.clock <= key.0, "process resumed into its past");
+        debug_assert!(slot.clock <= at, "process resumed into its past");
         slot.gen += 1; // invalidate any other pending wakes
         slot.status = Status::Running;
-        slot.clock = key.0;
-        if me == Some(pid) {
-            Resumption::SelfGo { key, timed_out }
-        } else {
-            slot.resume_tx.send(Resume::Go { key, timed_out }).expect("process thread vanished");
-            Resumption::Cross
-        }
+        slot.clock = at;
+        slot.resume = Resume::Go { timed_out };
+        pid
     }
-
-    /// Drive the kernel while holding duty: pop and apply events until one
-    /// resumes a process (duty moves to it) or the queue runs dry. `me` is
-    /// the duty-holding process, or `None` for the coordinator.
-    /// Serial and handoff modes only.
-    pub(crate) fn drain(&mut self, me: Option<Pid>) -> DrainOutcome {
-        let mut popped = false;
-        loop {
-            let Some(ev) = self.pop_next() else {
-                if popped {
-                    self.exec.windows += 1;
-                }
-                return DrainOutcome::Empty;
-            };
-            popped = true;
-            match self.apply(ev, me) {
-                None => self.exec.inline_events += 1,
-                Some(Resumption::SelfGo { key, timed_out }) => {
-                    self.exec.windows += 1;
-                    self.exec.self_continues += 1;
-                    return DrainOutcome::SelfResume { key, timed_out };
-                }
-                Some(Resumption::Cross) => {
-                    self.exec.windows += 1;
-                    self.exec.handoff_switches += 1;
-                    return DrainOutcome::Handoff;
-                }
-            }
-        }
-    }
-
-    /// Window-mode drain of one group: pop and apply group `g`'s events
-    /// strictly below the window horizon, advancing the arbiter position at
-    /// every pop. Only group-local state is touched (events target `g`'s
-    /// processes by construction), so concurrent drains of different groups
-    /// under the kernel lock's serialization are free of cross-group
-    /// interference — and bit-identical to the serial pops.
-    pub(crate) fn drain_window(&mut self, g: usize, me: Option<Pid>) -> DrainOutcome {
-        loop {
-            let horizon = self.window.as_ref().expect("drain_window outside a window").horizon;
-            let Some(key) = self.queues.head_of(g) else { return DrainOutcome::Empty };
-            if key.0 >= horizon {
-                return DrainOutcome::Empty;
-            }
-            let ev = self.queues.take_from(key, g);
-            debug_assert!(ev.time >= self.end_time, "window popped into the kernel's past");
-            self.events_processed += 1;
-            let tracing = self.trace.is_some();
-            let w = self.window.as_mut().expect("window vanished");
-            let solo = w.solo;
-            w.max_time = w.max_time.max(key.0);
-            if tracing {
-                if let Some(bufs) = &mut w.traces {
-                    bufs[g].push(TraceEntry::from_event(&ev));
-                }
-            }
-            // Publish the envelope only when someone is actually blocked on
-            // it: an `ordered` caller publishes its own position before
-            // waiting, so an unwatched lag here can never strand a waiter.
-            // Solo windows skip the arbiter outright.
-            if !solo && self.sync.has_waiters() {
-                self.sync.advance(g, key);
-            }
-            match self.apply(ev, me) {
-                None => self.exec.inline_events += 1,
-                Some(Resumption::SelfGo { key, timed_out }) => {
-                    self.exec.self_continues += 1;
-                    return DrainOutcome::SelfResume { key, timed_out };
-                }
-                Some(Resumption::Cross) => {
-                    self.exec.handoff_switches += 1;
-                    return DrainOutcome::Handoff;
-                }
-            }
-        }
-    }
-
-    /// The control route for `pid`'s group: the worker currently driving
-    /// the group during a window, the global channel otherwise.
-    pub(crate) fn ctrl_route(&self, pid: Pid) -> Sender<Ctrl> {
-        if let Some(w) = &self.window {
-            let g = self.queues.group_of[pid];
-            if let Some(tx) = &w.routes[g] {
-                return tx.clone();
-            }
-        }
-        self.ctrl_tx.clone()
-    }
-
-    /// Record an exit in the process table (status must flip before any
-    /// further event targeting the process is applied, in every mode).
-    fn mark_exited(&mut self, pid: Pid, panicked: bool) {
-        let slot = &mut self.procs[pid];
-        slot.status = Status::Exited;
-        slot.panicked = panicked;
-    }
-
-    pub(crate) fn group_of(&self, pid: Pid) -> usize {
-        self.queues.group_of[pid]
-    }
-}
-
-/// Control messages from process threads back to the engine.
-pub(crate) enum Ctrl {
-    /// The process blocked (its slot describes on what). Serial mode only.
-    Yielded(Pid),
-    /// A duty-holding process found no more runnable events (handoff:
-    /// queue empty; window: group done below the horizon): duty returns to
-    /// the coordinator/worker.
-    Idle(Pid),
-    /// The process function returned or unwound.
-    Exited(Pid, /*panicked*/ bool),
-    /// Window mode only, coordinator → worker pool: start driving this
-    /// group's window. Shares the channel with the processes' `Idle` /
-    /// `Exited` continuations so a worker is never parked on one group
-    /// while another group's continuation is waiting — any free worker
-    /// picks up whichever group becomes runnable next (see
-    /// [`worker_loop`]).
-    Adopt(usize),
 }
 
 /// Summary of a completed simulation run.
@@ -908,8 +426,8 @@ pub struct SimReport {
     /// protocol leaves this empty; a wedged recovery path shows up here as
     /// undelivered traffic.
     pub mailbox_backlog: Vec<(String, usize)>,
-    /// How the host drove the run (context-switch economy). Not part of
-    /// the simulation result: excluded from determinism fingerprints.
+    /// How the host drove the run (coroutine switches). Not part of the
+    /// simulation result: excluded from determinism fingerprints.
     pub exec: ExecCounters,
 }
 
@@ -937,9 +455,8 @@ pub struct SimReport {
 /// ```
 pub struct Sim<M: Send + 'static> {
     kernel: Arc<Mutex<Kernel<M>>>,
-    ctrl_tx: Sender<Ctrl>,
-    ctrl_rx: Receiver<Ctrl>,
-    threads: Vec<Option<JoinHandle<()>>>,
+    /// One coroutine per process, by pid; `None` once it has finished.
+    fibers: Vec<Option<Fiber>>,
     record_trace: bool,
 }
 
@@ -952,7 +469,6 @@ impl<M: Send + 'static> Default for Sim<M> {
 impl<M: Send + 'static> Sim<M> {
     /// Create an empty simulation.
     pub fn new() -> Self {
-        let (ctrl_tx, ctrl_rx) = unbounded();
         Sim {
             kernel: Arc::new(Mutex::new(Kernel {
                 queues: EventQueues::new(),
@@ -961,20 +477,12 @@ impl<M: Send + 'static> Sim<M> {
                 trace: None,
                 events_processed: 0,
                 end_time: SimTime::ZERO,
-                mode: ExecMode::Serial,
                 lookahead: Dur::ZERO,
-                host_threads: 1,
                 grouped: false,
                 cur_horizon: SimTime::ZERO,
-                window: None,
-                windowing: false,
-                sync: Arc::new(WindowSync::new()),
-                ctrl_tx: ctrl_tx.clone(),
                 exec: ExecCounters::default(),
             })),
-            ctrl_tx,
-            ctrl_rx,
-            threads: Vec::new(),
+            fibers: Vec::new(),
             record_trace: false,
         }
     }
@@ -984,26 +492,14 @@ impl<M: Send + 'static> Sim<M> {
         self.record_trace = on;
     }
 
-    /// Enable parallel host execution: `threads >= 2` selects the
-    /// window-parallel mode (1 keeps the serial coordinator loop).
-    /// `lookahead` must be a lower bound on the virtual latency of any
-    /// message between processes of different groups — pass the network's
-    /// minimum cross-node latency. Runs without assigned groups or with
-    /// zero lookahead fall back to the duty-handoff mode. The simulation
-    /// *result* is bit-identical in every mode; only the host scheduling
-    /// (and [`SimReport::exec`]) changes.
-    pub fn set_parallel(&mut self, threads: usize, lookahead: Dur) {
-        let exec = if threads >= 2 { HostExec::Window } else { HostExec::Serial };
-        self.set_exec(exec, threads, lookahead);
-    }
-
-    /// Select a host execution mode explicitly (the benchmarks use this to
-    /// measure the duty-handoff mode against the window mode).
-    pub fn set_exec(&mut self, exec: HostExec, threads: usize, lookahead: Dur) {
-        let mut k = self.kernel.lock();
-        k.mode = exec;
-        k.host_threads = threads.max(1);
-        k.lookahead = lookahead;
+    /// Set the conservative lookahead: a lower bound on the virtual latency
+    /// of any message between processes of different groups — pass the
+    /// network's minimum cross-node latency. Once the last primary process
+    /// exits, the run finishes the lookahead window that exit fell into
+    /// (see the module docs); debug builds check the bound on every
+    /// cross-group send.
+    pub fn set_lookahead(&mut self, lookahead: Dur) {
+        self.kernel.lock().lookahead = lookahead;
     }
 
     /// Put `pid` into scheduling group `group`. Processes of one simulated
@@ -1040,7 +536,6 @@ impl<M: Send + 'static> Sim<M> {
     where
         F: FnOnce(Ctx<M>) -> Result<(), Stopped> + Send + 'static,
     {
-        let (resume_tx, resume_rx) = unbounded();
         let pid = {
             let mut k = self.kernel.lock();
             let pid = k.procs.len();
@@ -1051,34 +546,17 @@ impl<M: Send + 'static> Sim<M> {
                 gen: 0,
                 clock: SimTime::ZERO,
                 mailbox: VecDeque::new(),
-                resume_tx,
-                panicked: false,
+                resume: Resume::Go { timed_out: false },
             });
             k.queues.add_proc();
             // Initial wake at t=0 so the process starts when the engine runs.
             k.push_event(pid, SimTime::ZERO, EventKind::Wake { pid, gen: 0 });
             pid
         };
-        let ctx = Ctx::new(pid, Arc::clone(&self.kernel), resume_rx);
         let kernel = Arc::clone(&self.kernel);
-        let ctrl_tx = self.ctrl_tx.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("sim-{name}"))
-            .spawn(move || {
-                // Wait for the first resume before touching anything.
-                match ctx.wait_first_resume() {
-                    Ok(()) => {
-                        let guard = ExitGuard { pid, kernel, armed: true };
-                        let _ = f(ctx);
-                        guard.disarm_and_exit();
-                    }
-                    Err(Stopped) => {
-                        let _ = ctrl_tx.send(Ctrl::Exited(pid, false));
-                    }
-                }
-            })
-            .expect("failed to spawn simulation thread");
-        self.threads.push(Some(handle));
+        self.fibers.push(Some(Fiber::new(Box::new(move |yielder| {
+            let _ = f(Ctx::new(pid, kernel, yielder));
+        }))));
         pid
     }
 
@@ -1087,30 +565,13 @@ impl<M: Send + 'static> Sim<M> {
         if self.record_trace {
             self.kernel.lock().trace = Some(Vec::new());
         }
-        let (n_primary, mode, threads) = {
-            let mut k = self.kernel.lock();
-            // The window mode needs real groups and a positive lookahead to
-            // build windows from; degenerate configurations keep the
-            // (equivalent, still multi-threaded) duty-handoff scheduling.
-            if k.mode == ExecMode::Window
-                && (!k.grouped || k.lookahead == Dur::ZERO || k.host_threads < 2)
-            {
-                k.mode = ExecMode::Handoff;
-            }
-            (k.procs.iter().filter(|p| !p.daemon).count(), k.mode, k.host_threads)
-        };
+        let n_primary = self.kernel.lock().procs.iter().filter(|p| !p.daemon).count();
         if n_primary == 0 {
             return Err(SimError::NoPrimaryProcesses);
         }
-        let result = match mode {
-            ExecMode::Serial => self.event_loop_serial(n_primary),
-            ExecMode::Handoff => self.event_loop_handoff(n_primary),
-            ExecMode::Window => self.event_loop_window(n_primary, threads),
-        };
-
+        let result = self.event_loop(n_primary);
         // Stop remaining processes (daemons, or everyone on error).
-        self.stop_remaining();
-        let join_err = self.join_threads();
+        let stop_err = self.stop_remaining();
 
         let mut k = self.kernel.lock();
         k.exec.sprint_pops = k.queues.sprint_pops;
@@ -1128,369 +589,63 @@ impl<M: Send + 'static> Sim<M> {
             exec: k.exec,
         };
         drop(k);
-
-        match result {
-            Ok(()) => {
-                if let Some(e) = join_err {
-                    return Err(e);
-                }
-                Ok(report)
-            }
-            Err(e) => Err(e),
+        result?;
+        match stop_err {
+            Some(e) => Err(e),
+            None => Ok(report),
         }
     }
 
-    /// The classic coordinator loop: pop one event at a time; on a resume,
-    /// wait for the process to yield back. Once the last primary has
-    /// exited, only the remainder of the current lookahead window is
-    /// drained (nothing at all when the horizon is degenerate).
-    fn event_loop_serial(&mut self, n_primary: usize) -> Result<(), SimError> {
+    /// The run loop: pop one event at a time and, when it resumes a
+    /// process, run that process's coroutine until it blocks or exits.
+    /// Once the last primary has exited, only the remainder of the current
+    /// lookahead window is drained (nothing at all when the horizon is
+    /// degenerate).
+    fn event_loop(&mut self, n_primary: usize) -> Result<(), SimError> {
         let mut live_primary = n_primary;
+        // The process that blocked most recently (for `self_continues`).
+        let mut last: Option<Pid> = None;
         loop {
-            let action = {
+            let pid = {
                 let mut k = self.kernel.lock();
                 if live_primary == 0 && k.queues.peek_min().is_none_or(|key| key.0 >= k.cur_horizon)
                 {
                     return Ok(());
                 }
-                match k.pop_next() {
-                    None => {
-                        // No events left: either everything exited, or the
-                        // remaining processes are deadlocked waiting for
-                        // messages that will never arrive.
-                        if live_primary == 0 {
-                            return Ok(());
-                        }
-                        return Err(SimError::Deadlock { blocked: Self::blocked_procs(&k) });
-                    }
-                    Some(ev) => k.apply(ev, None),
-                }
-            };
-            // If the event resumed a process, run it until it yields/exits.
-            if let Some(Resumption::Cross) = action {
-                match self.ctrl_rx.recv().expect("all process threads vanished") {
-                    Ctrl::Yielded(_) => {}
-                    Ctrl::Idle(_) => unreachable!("Idle is never sent in serial mode"),
-                    Ctrl::Adopt(_) => unreachable!("Adopt is never sent on the global channel"),
-                    Ctrl::Exited(xpid, panicked) => {
-                        if let Some(end) = self.note_exit(xpid, panicked, &mut live_primary) {
-                            return end;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The duty-handoff loop: the coordinator only seeds the run and takes
-    /// duty back at exits and idles; between those, the process threads
-    /// drive the kernel themselves (see [`Kernel::drain`] and
-    /// [`Ctx`](crate::Ctx)'s blocking path). The post-exit tail runs
-    /// through the serial loop so the horizon bound applies identically.
-    fn event_loop_handoff(&mut self, n_primary: usize) -> Result<(), SimError> {
-        let mut live_primary = n_primary;
-        loop {
-            let outcome = self.kernel.lock().drain(None);
-            match outcome {
-                DrainOutcome::SelfResume { .. } => {
-                    unreachable!("the coordinator cannot resume itself")
-                }
-                DrainOutcome::Empty => {
-                    if live_primary == 0 {
-                        return Ok(());
-                    }
-                    let k = self.kernel.lock();
+                let Some(ev) = k.pop_next() else {
+                    // No events left while primaries live: they are
+                    // deadlocked waiting for messages that will never
+                    // arrive.
                     return Err(SimError::Deadlock { blocked: Self::blocked_procs(&k) });
-                }
-                DrainOutcome::Handoff => {
-                    // Duty circulates among the process threads now; it
-                    // comes back with an exit or an idle notification.
-                    match self.ctrl_rx.recv().expect("all process threads vanished") {
-                        Ctrl::Yielded(_) => unreachable!("Yielded is never sent in handoff mode"),
-                        Ctrl::Adopt(_) => {
-                            unreachable!("Adopt is never sent on the global channel")
-                        }
-                        Ctrl::Idle(_) => {}
-                        Ctrl::Exited(xpid, panicked) => {
-                            if let Some(end) = self.note_exit(xpid, panicked, &mut live_primary) {
-                                return end;
-                            }
-                            if live_primary == 0 {
-                                // Drain the rest of the current window
-                                // serially (stopping processes must not
-                                // pick duty back up mid-tail).
-                                self.kernel.lock().mode = ExecMode::Serial;
-                                return self.event_loop_serial_from(0);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Continue the serial loop with `live_primary` already at the given
-    /// count (the handoff loop's quiescence tail).
-    fn event_loop_serial_from(&mut self, live_primary: usize) -> Result<(), SimError> {
-        debug_assert_eq!(live_primary, 0);
-        let mut live = live_primary;
-        loop {
-            let action = {
-                let mut k = self.kernel.lock();
-                if k.queues.peek_min().is_none_or(|key| key.0 >= k.cur_horizon) {
-                    return Ok(());
-                }
-                let ev = k.pop_next().expect("peeked event vanished");
-                k.apply(ev, None)
-            };
-            if let Some(Resumption::Cross) = action {
-                match self.ctrl_rx.recv().expect("all process threads vanished") {
-                    Ctrl::Yielded(_) => {}
-                    Ctrl::Idle(_) => unreachable!("Idle is never sent in serial mode"),
-                    Ctrl::Adopt(_) => unreachable!("Adopt is never sent on the global channel"),
-                    Ctrl::Exited(xpid, panicked) => {
-                        if let Some(end) = self.note_exit(xpid, panicked, &mut live) {
-                            return end;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The window-parallel loop. Each iteration: find the global minimum
-    /// head `T`, set the horizon `H = T + lookahead`, dispatch every group
-    /// whose head is below `H` to the worker pool, and merge the buffered
-    /// cross-group sends, traces and exits at the barrier. See the module
-    /// docs for the determinism argument.
-    fn event_loop_window(&mut self, n_primary: usize, threads: usize) -> Result<(), SimError> {
-        let mut live_primary = n_primary;
-        let sync = {
-            let mut k = self.kernel.lock();
-            k.windowing = true;
-            // The merge index is unused from here on; park the deferred
-            // slot so no head is hidden from the direct scans.
-            if let Some(d) = k.queues.deferred.take() {
-                k.queues.heads.push(Reverse(d));
-            }
-            let sync = Arc::clone(&k.sync);
-            {
-                let mut s = sync.lock();
-                s.group_of = k.queues.group_of.clone();
-                s.positions = vec![KEY_MAX; k.queues.groups.len()];
-                s.windowing = false;
-            }
-            sync.enabled.store(true, Ordering::Release);
-            sync
-        };
-        // One shared channel carries both group adoptions (`Ctrl::Adopt`,
-        // from the coordinator) and duty continuations (`Ctrl::Idle` /
-        // `Ctrl::Exited`, from the groups' processes — active groups'
-        // window routes point here). Workers block *only* on this channel:
-        // a worker that hands duty to a process immediately returns for
-        // the next runnable group instead of waiting for that process, so
-        // a process parked in `ordered()` can never wedge the window by
-        // pinning both its own worker and — transitively — the undispatched
-        // group it is waiting for.
-        let (win_tx, win_rx) = unbounded::<Ctrl>();
-        let (done_tx, done_rx) = unbounded::<usize>();
-        let mut workers = Vec::with_capacity(threads);
-        for wi in 0..threads {
-            let kernel = Arc::clone(&self.kernel);
-            let sync = Arc::clone(&sync);
-            let win_rx = win_rx.clone();
-            let done_tx = done_tx.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("sim-worker-{wi}"))
-                    .spawn(move || worker_loop(kernel, sync, win_rx, done_tx))
-                    .expect("failed to spawn window worker"),
-            );
-        }
-        // The window carcass is recycled across iterations: the barrier
-        // drains only the just-active slots and parks the allocation here,
-        // so a steady-state window allocates nothing per group.
-        let mut spare: Option<WindowState<M>> = None;
-        let result = 'run: loop {
-            // Plan the window: global minimum head + lookahead horizon.
-            let (active, solo) = {
-                let mut k = self.kernel.lock();
-                let n_groups = k.queues.groups.len();
-                let heads: Vec<(usize, EvKey)> =
-                    (0..n_groups).filter_map(|g| k.queues.head_of(g).map(|key| (g, key))).collect();
-                let Some(&(_, t_key)) = heads.iter().min_by_key(|&&(_, key)| key) else {
-                    break 'run if live_primary == 0 {
-                        Ok(())
-                    } else {
-                        Err(SimError::Deadlock { blocked: Self::blocked_procs(&k) })
-                    };
                 };
-                let horizon = t_key.0 + k.lookahead;
-                k.cur_horizon = horizon;
-                let active: Vec<(usize, EvKey)> =
-                    heads.into_iter().filter(|&(_, key)| key.0 < horizon).collect();
-                let solo = active.len() == 1;
-                k.exec.windows += 1;
-                k.exec.max_parallel_groups =
-                    k.exec.max_parallel_groups.max(active.len().min(threads) as u64);
-                let tracing = k.trace.is_some();
-                let mut window =
-                    spare.take().unwrap_or_else(|| WindowState::new(n_groups, horizon, tracing));
-                window.rearm(horizon, active.iter().map(|&(g, _)| g).collect(), solo);
-                if !solo {
-                    // Route the active groups' control traffic to the
-                    // worker pool before anything is dispatched.
-                    for &(g, _) in &active {
-                        window.routes[g] = Some(win_tx.clone());
-                    }
+                let Some(pid) = k.apply(ev) else {
+                    k.exec.inline_events += 1;
+                    continue;
+                };
+                k.exec.handoff_switches += 1;
+                if last == Some(pid) {
+                    k.exec.self_continues += 1;
                 }
-                k.window = Some(window);
-                if !solo {
-                    // Solo windows never touch the arbiter: nothing else
-                    // runs, so there is nothing to order against and
-                    // `await_turn` short-circuits on the `multi` gate.
-                    sync.begin_window(&active);
-                }
-                (active, solo)
+                pid
             };
-            // Execute it.
-            let mut exits: Vec<(Pid, bool)> = Vec::new();
-            if solo {
-                // A lone runnable group: drive it inline, skipping the
-                // dispatch round trip. The barrier bought no parallelism.
-                let g = active[0].0;
-                self.kernel.lock().exec.barrier_stalls += 1;
-                self.drive_group_inline(g, &mut exits);
-            } else {
-                for &(g, _) in &active {
-                    win_tx.send(Ctrl::Adopt(g)).expect("worker pool vanished");
-                }
-                for _ in 0..active.len() {
-                    done_rx.recv().expect("worker pool vanished");
-                }
-            }
-            // Barrier: merge outboxes and traces, close the window. Only
-            // the active groups' slots can hold anything (inactive groups
-            // neither pop nor push during a window), and `active` is
-            // ascending, so the drain order matches the old full
-            // group-order sweep.
-            {
-                let mut k = self.kernel.lock();
-                let mut w = k.window.take().expect("window vanished at barrier");
-                let mut tagged: Vec<(EvKey, usize, TraceEntry)> = Vec::new();
-                for gi in 0..w.active.len() {
-                    let g = w.active[gi];
-                    w.routes[g] = None;
-                    // Exit order must not depend on worker scheduling: the
-                    // workers filed exits per group, collect them in group
-                    // order (matching the serial coordinator's observation
-                    // order at equal keys).
-                    exits.append(&mut w.exits[g]);
-                    for (key, kind) in w.outboxes[g].drain(..) {
-                        k.queues.insert_plain(key, kind);
+            let fiber = self.fibers[pid].as_mut().expect("resumed process has exited");
+            match fiber.resume() {
+                None => last = Some(pid),
+                Some(panicked) => {
+                    last = None;
+                    self.fibers[pid] = None;
+                    let mut k = self.kernel.lock();
+                    k.procs[pid].status = Status::Exited;
+                    let slot = &k.procs[pid];
+                    if panicked {
+                        return Err(SimError::ProcessPanicked { pid, name: slot.name.clone() });
                     }
-                    if let Some(bufs) = &mut w.traces {
-                        // Serial interleaves groups in ascending *envelope*
-                        // order (see [`WindowSync`]), not raw key order:
-                        // tag each entry with its group's running max key
-                        // and in-group index, then sort. Envelope values
-                        // are globally unique keys, so ties only occur
-                        // within one group, where the index restores pop
-                        // order.
-                        let mut env = (SimTime::ZERO, 0u64, 0u64);
-                        for (idx, e) in bufs[g].drain(..).enumerate() {
-                            env = env.max((e.time, e.src, e.seq));
-                            tagged.push((env, idx, e));
-                        }
-                    }
-                }
-                if let Some(trace) = &mut k.trace {
-                    tagged.sort_by_key(|&(env, idx, _)| (env, idx));
-                    trace.extend(tagged.into_iter().map(|(_, _, e)| e));
-                }
-                k.end_time = k.end_time.max(w.max_time);
-                w.active.clear();
-                spare = Some(w);
-                if !solo {
-                    sync.end_window();
-                }
-            }
-            for (pid, panicked) in exits {
-                if let Some(end) = self.note_exit(pid, panicked, &mut live_primary) {
-                    break 'run end;
-                }
-            }
-            if live_primary == 0 {
-                // The run ends with the window the last exit fell into.
-                break 'run Ok(());
-            }
-        };
-        sync.enabled.store(false, Ordering::Release);
-        sync.end_window();
-        drop(win_tx);
-        for w in workers {
-            let _ = w.join();
-        }
-        result
-    }
-
-    /// Drive one group's window from the coordinator thread (single-active
-    /// windows), using the global control channel as the route.
-    fn drive_group_inline(&mut self, g: usize, exits: &mut Vec<(Pid, bool)>) {
-        {
-            let mut k = self.kernel.lock();
-            let tx = self.ctrl_tx.clone();
-            k.window.as_mut().expect("window vanished").routes[g] = Some(tx);
-        }
-        'group: loop {
-            let outcome = self.kernel.lock().drain_window(g, None);
-            match outcome {
-                DrainOutcome::Empty => break 'group,
-                DrainOutcome::SelfResume { .. } => {
-                    unreachable!("the coordinator cannot resume itself")
-                }
-                // Duty is with one of the group's processes; exactly one
-                // continuation comes back per handoff — Idle (group done)
-                // or Exited (re-drain for the group's remaining events).
-                DrainOutcome::Handoff => {
-                    match self.ctrl_rx.recv().expect("all process threads vanished") {
-                        Ctrl::Idle(_) => break 'group,
-                        Ctrl::Exited(pid, panicked) => {
-                            self.kernel.lock().mark_exited(pid, panicked);
-                            exits.push((pid, panicked));
-                        }
-                        Ctrl::Yielded(_) => unreachable!("Yielded is never sent in window mode"),
-                        Ctrl::Adopt(_) => {
-                            unreachable!("Adopt is never sent on the global channel")
-                        }
+                    if !slot.daemon {
+                        live_primary -= 1;
                     }
                 }
             }
         }
-    }
-
-    /// Record a process exit. Returns `Some(final result)` when the run
-    /// must end right now (a panic), `None` to keep going — reaching zero
-    /// live primaries ends the run at the horizon/barrier, which the
-    /// callers check.
-    fn note_exit(
-        &mut self,
-        xpid: Pid,
-        panicked: bool,
-        live_primary: &mut usize,
-    ) -> Option<Result<(), SimError>> {
-        let mut k = self.kernel.lock();
-        k.mark_exited(xpid, panicked);
-        let slot = &k.procs[xpid];
-        if !slot.daemon {
-            *live_primary -= 1;
-        }
-        let name = slot.name.clone();
-        drop(k);
-        if panicked {
-            return Some(Err(SimError::ProcessPanicked { pid: xpid, name }));
-        }
-        None
     }
 
     fn blocked_procs(k: &Kernel<M>) -> Vec<(Pid, String)> {
@@ -1502,194 +657,36 @@ impl<M: Send + 'static> Sim<M> {
             .collect()
     }
 
-    fn stop_remaining(&mut self) {
-        // Every remaining process is blocked (none can be Running here).
-        // Send Stop; a stopped process may yield a few more times while
-        // unwinding through nested calls, so keep answering Stop until it
-        // exits. Unwinding yields must go through the serial path — a
-        // stopping process must not pick duty back up.
-        let pending: Vec<Pid> = {
-            let mut k = self.kernel.lock();
-            k.mode = ExecMode::Serial;
-            k.window = None;
-            k.sync.enabled.store(false, Ordering::Release);
-            k.sync.end_window();
-            k.procs
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.status != Status::Exited)
-                .map(|(i, _)| i)
-                .collect()
-        };
-        let mut outstanding = pending.len();
-        {
-            let k = self.kernel.lock();
-            for &pid in &pending {
-                let _ = k.procs[pid].resume_tx.send(Resume::Stop);
-            }
-        }
-        // Drain control messages until all stopped processes have exited.
-        let mut fuel: u64 = 1_000_000;
-        while outstanding > 0 && fuel > 0 {
-            fuel -= 1;
-            match self.ctrl_rx.recv() {
-                Ok(Ctrl::Exited(pid, panicked)) => {
-                    let mut k = self.kernel.lock();
-                    k.procs[pid].status = Status::Exited;
-                    k.procs[pid].panicked = panicked;
-                    outstanding -= 1;
-                }
-                Ok(Ctrl::Yielded(pid)) | Ok(Ctrl::Idle(pid)) => {
-                    // A stopping process yielded again; answer Stop again.
-                    let k = self.kernel.lock();
-                    let _ = k.procs[pid].resume_tx.send(Resume::Stop);
-                }
-                Ok(Ctrl::Adopt(_)) => {}
-                Err(_) => break,
-            }
-        }
-    }
-
-    fn join_threads(&mut self) -> Option<SimError> {
+    /// Unwind every process still alive: a blocked one is resumed with
+    /// [`Resume::Stop`], so its pending blocking call (and any later one)
+    /// returns [`Stopped`] and it runs to its end; one that never started
+    /// is dropped unrun. Reports the first process that panicked while
+    /// stopping.
+    fn stop_remaining(&mut self) -> Option<SimError> {
         let mut err = None;
-        for (pid, h) in self.threads.iter_mut().enumerate() {
-            if let Some(h) = h.take() {
-                if h.join().is_err() && err.is_none() {
-                    let name = self.kernel.lock().procs[pid].name.clone();
-                    err = Some(SimError::ProcessPanicked { pid, name });
-                }
+        for pid in 0..self.fibers.len() {
+            let Some(mut fiber) = self.fibers[pid].take() else { continue };
+            if !fiber.started() {
+                continue;
+            }
+            self.kernel.lock().procs[pid].resume = Resume::Stop;
+            // A stopped process never suspends again (`Ctx::block` returns
+            // `Stopped` at once), so this resume runs it to its end.
+            let panicked = fiber.resume() == Some(true);
+            let mut k = self.kernel.lock();
+            k.procs[pid].status = Status::Exited;
+            if panicked && err.is_none() {
+                err = Some(SimError::ProcessPanicked { pid, name: k.procs[pid].name.clone() });
             }
         }
         err
     }
 }
 
-/// One window worker: pull runnable groups off the shared window channel
-/// — fresh adoptions from the coordinator and `Idle`/`Exited`
-/// continuations from duty-holding processes — drive each until it hands
-/// duty onward or completes its window, and report completions to the
-/// barrier.
-///
-/// Workers block **only** on the shared channel, never on a process: when
-/// `drain_window` hands duty to a process the worker simply moves on, and
-/// the process's continuation (routed back to this same channel) is picked
-/// up by whichever worker is free. This keeps every runnable group
-/// runnable even when other groups' processes are parked in
-/// [`WindowSync::await_turn`] — with per-group blocking workers, two
-/// parked duty processes waiting on a still-queued group would deadlock
-/// the window.
-fn worker_loop<M: Send + 'static>(
-    kernel: Arc<Mutex<Kernel<M>>>,
-    sync: Arc<WindowSync>,
-    win_rx: Receiver<Ctrl>,
-    done_tx: Sender<usize>,
-) {
-    while let Ok(msg) = win_rx.recv() {
-        let group = match msg {
-            Ctrl::Adopt(g) => g,
-            Ctrl::Idle(pid) => kernel.lock().group_of(pid),
-            Ctrl::Exited(pid, panicked) => {
-                let mut k = kernel.lock();
-                k.mark_exited(pid, panicked);
-                let g = k.group_of(pid);
-                if let Some(w) = &mut k.window {
-                    w.exits[g].push((pid, panicked));
-                }
-                g
-            }
-            Ctrl::Yielded(_) => unreachable!("Yielded is never sent in window mode"),
-        };
-        match kernel.lock().drain_window(group, None) {
-            DrainOutcome::Empty => {
-                sync.finish_group(group);
-                if done_tx.send(group).is_err() {
-                    return;
-                }
-            }
-            DrainOutcome::SelfResume { .. } => unreachable!("workers cannot resume themselves"),
-            // Duty is with one of the group's processes now; its Idle or
-            // Exited comes back through this channel. Move on.
-            DrainOutcome::Handoff => {}
-        }
-    }
-}
-
 impl<M: Send + 'static> Drop for Sim<M> {
-    /// Stop and join any process threads still alive (covers simulations
-    /// that are dropped without being run; after `run` this is a no-op).
+    /// Unwind processes still alive (covers simulations dropped without
+    /// being run; after `run` this is a no-op).
     fn drop(&mut self) {
-        {
-            let mut k = self.kernel.lock();
-            k.mode = ExecMode::Serial;
-            k.window = None;
-            k.sync.enabled.store(false, Ordering::Release);
-            k.sync.end_window();
-            for p in &k.procs {
-                if p.status != Status::Exited {
-                    let _ = p.resume_tx.send(Resume::Stop);
-                }
-            }
-        }
-        // Answer any further yields from unwinding processes with Stop.
-        loop {
-            match self.ctrl_rx.try_recv() {
-                Ok(Ctrl::Yielded(pid)) | Ok(Ctrl::Idle(pid)) => {
-                    let k = self.kernel.lock();
-                    let _ = k.procs[pid].resume_tx.send(Resume::Stop);
-                }
-                Ok(Ctrl::Exited(..)) | Ok(Ctrl::Adopt(_)) => {}
-                Err(_) => {
-                    if self.threads.iter().all(|t| t.is_none()) {
-                        break;
-                    }
-                    // Join whatever we can; threads answered with Stop will
-                    // exit promptly.
-                    let mut progressed = false;
-                    for h in self.threads.iter_mut() {
-                        if let Some(handle) = h.take() {
-                            if handle.is_finished() {
-                                let _ = handle.join();
-                                progressed = true;
-                            } else {
-                                *h = Some(handle);
-                            }
-                        }
-                    }
-                    if !progressed {
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Sends `Exited` (through the window route when one is active) when a
-/// process function returns or unwinds.
-struct ExitGuard<M: Send + 'static> {
-    pid: Pid,
-    kernel: Arc<Mutex<Kernel<M>>>,
-    armed: bool,
-}
-
-impl<M: Send + 'static> ExitGuard<M> {
-    fn notify(&self, panicked: bool) {
-        // The unwinding frames released any kernel guard before this Drop
-        // runs, so taking the lock here is safe.
-        let tx = self.kernel.lock().ctrl_route(self.pid);
-        let _ = tx.send(Ctrl::Exited(self.pid, panicked));
-    }
-
-    fn disarm_and_exit(mut self) {
-        self.armed = false;
-        self.notify(false);
-    }
-}
-
-impl<M: Send + 'static> Drop for ExitGuard<M> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.notify(true);
-        }
+        self.stop_remaining();
     }
 }

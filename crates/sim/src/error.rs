@@ -14,7 +14,7 @@ pub enum SimError {
     /// No events remain but primary processes are still blocked: the modeled
     /// system is deadlocked. Lists the blocked primary processes.
     Deadlock { blocked: Vec<(Pid, String)> },
-    /// A process thread panicked; the panic message is on stderr.
+    /// A process panicked; the panic message is on stderr.
     ProcessPanicked { pid: Pid, name: String },
     /// `run` was called on a simulation with no primary processes.
     NoPrimaryProcesses,

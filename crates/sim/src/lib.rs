@@ -1,13 +1,14 @@
 //! # repseq-sim — deterministic discrete-event simulation engine
 //!
 //! This crate is the foundation of the PPoPP'01 reproduction: a
-//! process-oriented discrete-event simulator in which each simulated node of
-//! the cluster runs as a cooperatively scheduled OS thread in *virtual*
-//! time. The engine always runs the process with the globally minimal next
-//! event time, so execution is fully serialized and **bit-for-bit
-//! deterministic** — the property the reproduced paper requires of
-//! sequential sections, and the property that makes every experiment in
-//! this repository reproducible.
+//! process-oriented discrete-event simulator in which each simulated
+//! process runs as a stackful coroutine in *virtual* time, on the thread
+//! that calls [`Sim::run`]. The engine always runs the process with the
+//! globally minimal next event, so execution is fully serialized and
+//! **bit-for-bit deterministic** — the property the reproduced paper
+//! requires of sequential sections, and the property that makes every
+//! experiment in this repository reproducible. Switching between processes
+//! is a user-space stack switch; no OS thread is created per process.
 //!
 //! Layers above build on three primitives:
 //!
@@ -32,10 +33,11 @@
 mod ctx;
 mod engine;
 mod error;
+mod fiber;
 mod trace;
 
 pub use ctx::Ctx;
-pub use engine::{ExecCounters, HostExec, Sim, SimReport};
+pub use engine::{ExecCounters, Sim, SimReport};
 pub use error::SimError;
 pub use repseq_substrate::{Dur, Envelope, Pid, SimTime, Stopped, SubstrateCtx};
 pub use trace::{first_divergence, Divergence, TraceClass, TraceEntry};

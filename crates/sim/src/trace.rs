@@ -22,8 +22,7 @@ pub struct TraceEntry {
     /// Scheduling group of the process that *pushed* the event (the event
     /// key's second component — ties at equal time break by source group).
     pub src: u64,
-    /// Sequence number drawn from the source group's counter at push
-    /// (assigned deterministically in every host execution mode).
+    /// Sequence number drawn from the source group's counter at push.
     pub seq: u64,
     /// Affected process.
     pub pid: Pid,

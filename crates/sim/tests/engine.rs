@@ -356,3 +356,266 @@ fn many_processes_scale() {
     let report = sim.run().unwrap();
     assert!(report.events_processed >= 2 * n as u64);
 }
+
+// --- Grouped runs and engine counters ---
+
+const RING: usize = 6;
+const HOPS: u32 = 40;
+
+/// The token ring with each process in its own group and the hop latency
+/// as the (exact) lookahead bound.
+fn grouped_ring() -> repseq_sim::SimReport {
+    let mut sim = Sim::<u32>::new();
+    sim.record_trace(true);
+    for i in 0..RING {
+        let next = (i + 1) % RING;
+        let hop = move |ctx: &repseq_sim::Ctx<u32>, msg: u32| {
+            ctx.charge(Dur::from_micros(1));
+            ctx.send(next, msg.saturating_sub(1), ctx.now() + Dur::from_micros(2));
+        };
+        if i == 0 {
+            sim.spawn("ring0", move |ctx| {
+                ctx.charge(Dur::from_micros(2));
+                hop(&ctx, HOPS + 1);
+                loop {
+                    let env = ctx.recv()?;
+                    if env.msg == 0 {
+                        return Ok(());
+                    }
+                    hop(&ctx, env.msg);
+                }
+            });
+        } else {
+            sim.spawn_daemon(&format!("ring{i}"), move |ctx| {
+                while let Ok(env) = ctx.recv() {
+                    hop(&ctx, env.msg);
+                }
+                Ok(())
+            });
+        }
+        sim.assign_group(i, i);
+    }
+    sim.set_lookahead(Dur::from_micros(2));
+    sim.run().unwrap()
+}
+
+#[test]
+fn grouped_runs_repeat_bit_for_bit_and_count_their_switches() {
+    let a = grouped_ring();
+    let b = grouped_ring();
+    assert_eq!(a.end_time, b.end_time);
+    assert_eq!(a.events_processed, b.events_processed);
+    assert_eq!(a.proc_clocks, b.proc_clocks);
+    assert_eq!(a.trace, b.trace);
+    assert_eq!(a.exec, b.exec, "engine counters are deterministic too");
+    // Every hop delivery resumes the next process: a switch per hop, none
+    // of them back into the process that just blocked.
+    assert!(a.exec.handoff_switches as u32 >= HOPS, "{:?}", a.exec);
+    // Each hop's checkpoint wake (Polling → Waiting) resumes nobody.
+    assert!(a.exec.inline_events > 0, "{:?}", a.exec);
+}
+
+#[test]
+fn self_resumes_are_counted() {
+    // A lone process sleeping repeatedly: one resume to start it, then
+    // every wake resumes the process that just blocked.
+    let mut sim = Sim::<u32>::new();
+    sim.spawn("loner", |ctx| {
+        for _ in 0..10 {
+            ctx.sleep(Dur::from_micros(1))?;
+        }
+        Ok(())
+    });
+    let report = sim.run().unwrap();
+    assert_eq!(report.exec.handoff_switches, 11, "{:?}", report.exec);
+    assert_eq!(report.exec.self_continues, 10, "{:?}", report.exec);
+}
+
+#[test]
+fn queued_runs_sprint_past_the_merge_index() {
+    // Several deliveries queued for one process: after the first pop, the
+    // rest of the run is served from the group queue's deferred head
+    // without touching the merge heap.
+    let mut sim = Sim::<u32>::new();
+    sim.spawn("burst-sender", |ctx| {
+        for i in 0..8u32 {
+            ctx.send(1, i, ctx.now() + Dur::from_micros(10 + i as u64));
+        }
+        Ok(())
+    });
+    sim.spawn("burst-receiver", |ctx| {
+        for expect in 0..8u32 {
+            assert_eq!(ctx.recv()?.msg, expect);
+        }
+        Ok(())
+    });
+    let report = sim.run().unwrap();
+    assert!(report.exec.sprint_pops >= 8, "burst run should sprint: {:?}", report.exec);
+}
+
+#[test]
+fn grouped_daemons_are_stopped_after_the_primaries_exit() {
+    let mut sim = Sim::<u32>::new();
+    let served = Arc::new(AtomicU64::new(0));
+    let served2 = Arc::clone(&served);
+    sim.spawn_daemon("server", move |ctx| {
+        while let Ok(env) = ctx.recv() {
+            served2.fetch_add(1, Ordering::SeqCst);
+            ctx.charge(Dur::from_micros(1));
+            ctx.send(env.from, env.msg * 2, ctx.now() + Dur::from_micros(1));
+        }
+        Ok(())
+    });
+    sim.spawn("client", |ctx| {
+        for i in 0..3u32 {
+            ctx.send(0, i, ctx.now() + Dur::from_micros(1));
+            let env = ctx.recv()?;
+            assert_eq!(env.msg, i * 2);
+        }
+        Ok(())
+    });
+    sim.set_lookahead(Dur::from_micros(1));
+    sim.assign_group(0, 0);
+    sim.assign_group(1, 1);
+    sim.run().unwrap();
+    assert_eq!(served.load(Ordering::SeqCst), 3);
+}
+
+#[test]
+fn a_panic_ends_the_run_while_others_are_blocked() {
+    let mut sim = Sim::<u32>::new();
+    sim.spawn("bang", |ctx| {
+        ctx.sleep(Dur::from_micros(1))?;
+        panic!("boom");
+    });
+    sim.spawn("bystander", |ctx| {
+        let _ = ctx.recv()?;
+        Ok(())
+    });
+    match sim.run() {
+        Err(SimError::ProcessPanicked { name, .. }) => assert_eq!(name, "bang"),
+        other => panic!("expected panic report, got {other:?}"),
+    }
+}
+
+// --- Coroutine execution ---
+
+#[test]
+fn every_process_runs_on_the_thread_that_called_run() {
+    let caller = std::thread::current().id();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = Sim::<u32>::new();
+    for i in 0..4 {
+        let seen = Arc::clone(&seen);
+        sim.spawn(&format!("p{i}"), move |ctx| {
+            for _ in 0..3 {
+                seen.lock().push(std::thread::current().id());
+                ctx.sleep(Dur::from_micros(i + 1))?;
+            }
+            Ok(())
+        });
+    }
+    sim.run().unwrap();
+    let seen = seen.lock();
+    assert_eq!(seen.len(), 12);
+    assert!(seen.iter().all(|&id| id == caller), "a process ran on another thread");
+}
+
+/// Recurse through `depth` frames of `FRAME` bytes each, yielding at the
+/// bottom so the deep stack is suspended and resumed.
+fn deep(ctx: &repseq_sim::Ctx<u32>, depth: usize) -> Result<u64, repseq_sim::Stopped> {
+    const FRAME: usize = 1024;
+    let mut pad = [0u8; FRAME];
+    pad[depth % FRAME] = depth as u8;
+    let below = if depth == 0 {
+        ctx.sleep(Dur::from_micros(1))?;
+        0
+    } else {
+        deep(ctx, depth - 1)?
+    };
+    Ok(below + std::hint::black_box(&pad)[depth % FRAME] as u64)
+}
+
+#[test]
+fn a_process_can_use_more_than_a_mebibyte_of_stack() {
+    let mut sim = Sim::<u32>::new();
+    sim.spawn("deep", |ctx| {
+        // 1200 frames of at least 1 KiB each: over 1.1 MiB of stack.
+        let sum = deep(&ctx, 1200)?;
+        assert_eq!(sum, (0..=1200u64).map(|d| d % 256).sum::<u64>());
+        Ok(())
+    });
+    sim.run().unwrap();
+}
+
+#[test]
+fn a_backtrace_inside_a_process_ends_at_the_coroutine_base() {
+    let frames = Arc::new(Mutex::new(String::new()));
+    let frames2 = Arc::clone(&frames);
+    let mut sim = Sim::<u32>::new();
+    sim.spawn("tracer", move |ctx| {
+        ctx.sleep(Dur::from_micros(1))?;
+        *frames2.lock() = std::backtrace::Backtrace::force_capture().to_string();
+        ctx.sleep(Dur::from_micros(1))?;
+        Ok(())
+    });
+    sim.run().unwrap();
+    let frames = frames.lock();
+    assert!(frames.contains("fiber_main"), "the walk reaches the coroutine base:\n{frames}");
+    // The walk stops at the coroutine's base: nothing below it belongs to
+    // the thread that called `run`.
+    assert!(!frames.contains("event_loop"), "the unwinder walked off the coroutine:\n{frames}");
+}
+
+/// A value whose strong count tells whether a process's captures were
+/// dropped.
+fn tracked() -> (Arc<()>, Arc<()>) {
+    let a = Arc::new(());
+    (Arc::clone(&a), a)
+}
+
+#[test]
+fn a_deadlocked_run_unwinds_its_suspended_processes() {
+    let (probe, held) = tracked();
+    let mut sim = Sim::<u32>::new();
+    sim.spawn("stuck", move |ctx| {
+        let _held = held;
+        let _ = ctx.recv()?;
+        Ok(())
+    });
+    assert!(matches!(sim.run(), Err(SimError::Deadlock { .. })));
+    assert_eq!(Arc::strong_count(&probe), 1, "the suspended stack was not unwound");
+}
+
+#[test]
+fn a_panicked_run_unwinds_every_process() {
+    let (probe_bang, held_bang) = tracked();
+    let (probe_other, held_other) = tracked();
+    let mut sim = Sim::<u32>::new();
+    sim.spawn("bang", move |ctx| {
+        let _held = held_bang;
+        ctx.sleep(Dur::from_micros(1))?;
+        panic!("boom");
+    });
+    sim.spawn("waiter", move |ctx| {
+        let _held = held_other;
+        let _ = ctx.recv()?;
+        Ok(())
+    });
+    assert!(matches!(sim.run(), Err(SimError::ProcessPanicked { .. })));
+    assert_eq!(Arc::strong_count(&probe_bang), 1, "the panicking process leaked");
+    assert_eq!(Arc::strong_count(&probe_other), 1, "the suspended process leaked");
+}
+
+#[test]
+fn dropping_a_sim_that_never_ran_drops_its_processes() {
+    let (probe, held) = tracked();
+    let mut sim = Sim::<u32>::new();
+    sim.spawn("never", move |_ctx| {
+        let _held = held;
+        Ok(())
+    });
+    assert_eq!(Arc::strong_count(&probe), 2);
+    drop(sim);
+    assert_eq!(Arc::strong_count(&probe), 1, "the unstarted process leaked");
+}

@@ -3,10 +3,8 @@
 //! order — `(time, src_group, seq)`, where `src_group` is the scheduling
 //! group of the pushing process and `seq` comes from that group's private
 //! counter. The key is assigned at push from state only the pusher's own
-//! (serialized) execution touches, so it is identical in every host
-//! execution mode — including the window-parallel mode, where worker
-//! threads race in wall-clock time but never in key space. This invariant
-//! is pinned here independently of the engine's internal queue layout.
+//! execution touches. This invariant is pinned here independently of the
+//! engine's internal queue layout.
 
 use std::sync::Arc;
 

@@ -31,7 +31,7 @@ pub type ProcBody<C> = Box<dyn FnOnce(C) -> Result<(), Stopped> + Send + 'static
 /// process panics or the run fails.
 pub trait ConformanceDriver {
     /// The backend's per-process context.
-    type Ctx: SubstrateCtx<u64> + Send + 'static;
+    type Ctx: SubstrateCtx<u64> + 'static;
 
     /// Run the given processes to completion.
     fn run(self, primaries: Vec<ProcBody<Self::Ctx>>, daemons: Vec<ProcBody<Self::Ctx>>);
