@@ -18,6 +18,13 @@
 //! takes longer than its arrival window the backlog shows up as queueing
 //! delay in the p99/p999 *simulated* latencies, computed from virtual
 //! timestamps.
+//!
+//! Both loops touch a record one page run at a time, through the page
+//! guards ([`ShArray::with_slices_mut`] for writes,
+//! [`ShArray::with_slices`] for reads): the fault is taken once per page
+//! the record spans, and every slot inside the run is a plain buffer
+//! access. Faults, charges, served values and race-tap records are those
+//! of slot-by-slot access; only host time drops.
 
 pub mod layout;
 pub mod trace;
@@ -292,9 +299,13 @@ impl KvStore {
                         nd.race_label(shard_label(s));
                         for &(_, key, val) in &body_writes {
                             let base = lay.flat(key as usize) * rs;
-                            for j in 0..rs {
-                                table.set(nd, base + j, splitmix64(val ^ j as u64))?;
-                            }
+                            table.with_slices_mut(nd, base..base + rs, |run| {
+                                let first = run.first_index() - base;
+                                for k in 0..run.len() {
+                                    run.set(k, splitmix64(val ^ (first + k) as u64));
+                                }
+                                Ok(())
+                            })?;
                         }
                         nd.charge(Dur::from_secs_f64(body_writes.len() as f64 * write_ns * 1e-9));
                         Ok(())
@@ -332,9 +343,13 @@ impl KvStore {
                         let (rid, key) = reads[idx];
                         let base = lay.flat(key as usize) * rs;
                         let mut v = 0u64;
-                        for j in 0..rs {
-                            v ^= table.get(nd, base + j)?.rotate_left(j as u32);
-                        }
+                        table.with_slices(nd, base..base + rs, |run| {
+                            let first = run.first_index() - base;
+                            for k in 0..run.len() {
+                                v ^= run.get(k).rotate_left((first + k) as u32);
+                            }
+                            Ok(())
+                        })?;
                         xor.fetch_xor(v ^ splitmix64(rid as u64), Ordering::Relaxed);
                         nd.charge(Dur::from_secs_f64(read_ns * 1e-9));
                         lat.lock().unwrap()[rid] =

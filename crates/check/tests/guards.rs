@@ -6,6 +6,12 @@
 //! Two element types on purpose: `u64` (8 bytes, never straddles a page
 //! on an aligned array) and `[u64; 3]` (24 bytes, straddles — exercising
 //! the guards' detached singleton-run path).
+//!
+//! The same program runner also pins the race tap: both APIs must report
+//! the identical per-node stream of accesses and synchronization events
+//! to an installed `RaceSink`, which is what lets the detector and the
+//! traced benchmark's access counts treat guard code and element-wise
+//! code alike.
 
 #![allow(clippy::type_complexity)]
 
@@ -14,9 +20,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use repseq_check::{Mem, RefMem};
-use repseq_dsm::{Cluster, ClusterConfig, DsmNode, ShArray};
+use repseq_dsm::{AccessKind, Cluster, ClusterConfig, DsmNode, RaceSink, ShArray, SyncEdge};
 use repseq_sim::Stopped;
-use repseq_stats::Stats;
+use repseq_stats::{NodeId, Stats};
 
 const N_NODES: usize = 2;
 /// 700 × 8 B spans two 4 KiB pages.
@@ -50,11 +56,49 @@ fn clamp_trip(start: usize, raw_len: usize) -> (usize, usize) {
     (s, raw_len.min(TRIP_LEN - s))
 }
 
-/// Run the program on a fresh cluster; `guards` picks the access API.
-/// Returns each node's final view of both arrays.
-fn run_on_dsm(prog: &Program, guards: bool) -> Vec<(Vec<u64>, Vec<[u64; 3]>)> {
+/// One event of a node's race-tap stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tapped {
+    Access { addr: u64, len: usize, kind: AccessKind },
+    Sync(SyncEdge),
+}
+
+/// A `RaceSink` that records every node's event stream, in order.
+struct Recorder(Mutex<Vec<Vec<Tapped>>>);
+
+impl Recorder {
+    fn new() -> Arc<Recorder> {
+        Arc::new(Recorder(Mutex::new(vec![Vec::new(); N_NODES])))
+    }
+
+    fn streams(&self) -> Vec<Vec<Tapped>> {
+        self.0.lock().clone()
+    }
+}
+
+impl RaceSink for Recorder {
+    fn access(&self, node: NodeId, addr: u64, len: usize, kind: AccessKind) {
+        self.0.lock()[node].push(Tapped::Access { addr, len, kind });
+    }
+
+    fn sync(&self, node: NodeId, edge: SyncEdge) {
+        self.0.lock()[node].push(Tapped::Sync(edge));
+    }
+}
+
+/// Run the program on a fresh cluster; `guards` picks the access API and
+/// `sink`, if any, is installed as the race sink. Returns each node's
+/// final view of both arrays.
+fn run_on_dsm(
+    prog: &Program,
+    guards: bool,
+    sink: Option<Arc<Recorder>>,
+) -> Vec<(Vec<u64>, Vec<[u64; 3]>)> {
     let stats = Stats::new(N_NODES);
     let mut cl = Cluster::new(ClusterConfig::paper(N_NODES), stats);
+    if let Some(sink) = sink {
+        cl.set_race_sink(sink);
+    }
     let arr: ShArray<u64> = cl.alloc_array_page_aligned(U64_LEN);
     let trip: ShArray<[u64; 3]> = cl.alloc_array_page_aligned(TRIP_LEN);
     let out = Arc::new(Mutex::new(vec![(Vec::new(), Vec::new()); N_NODES]));
@@ -175,8 +219,8 @@ proptest! {
     #[test]
     fn guards_match_elementwise_and_reference(prog in program_strategy()) {
         let (ref_u, ref_t) = run_on_reference(&prog);
-        let by_guards = run_on_dsm(&prog, true);
-        let by_elems = run_on_dsm(&prog, false);
+        let by_guards = run_on_dsm(&prog, true, None);
+        let by_elems = run_on_dsm(&prog, false, None);
         for node in 0..N_NODES {
             prop_assert_eq!(&by_guards[node].0, &ref_u, "guards vs reference (u64), node {}", node);
             prop_assert_eq!(&by_guards[node].1, &ref_t, "guards vs reference (triple), node {}", node);
@@ -184,4 +228,35 @@ proptest! {
             prop_assert_eq!(&by_elems[node].1, &ref_t, "elements vs reference (triple), node {}", node);
         }
     }
+}
+
+/// Each node's tap stream is the same under both APIs: every access with
+/// its address, length and kind, in order, between the same
+/// synchronization events. The program's writes cover the straddling
+/// `[u64; 3]` element (index 170: bytes 4080..4104 of the array) and
+/// both pages of each array, so the detached singleton path is taken for
+/// a write as well as for the read-back.
+#[test]
+fn guards_tap_the_same_accesses_as_elementwise() {
+    let prog: Program = vec![(160, 20, 7), (500, 96, 11), (0, 80, 3)];
+    let (guard_sink, elem_sink) = (Recorder::new(), Recorder::new());
+    run_on_dsm(&prog, true, Some(Arc::clone(&guard_sink)));
+    run_on_dsm(&prog, false, Some(Arc::clone(&elem_sink)));
+    let (by_guards, by_elems) = (guard_sink.streams(), elem_sink.streams());
+    let page = ClusterConfig::paper(N_NODES).dsm.page_size as u64;
+    let straddles = |e: &Tapped, want: AccessKind| match *e {
+        Tapped::Access { addr, len, kind } => len == 24 && kind == want && addr % page > page - 24,
+        Tapped::Sync(_) => false,
+    };
+    for node in 0..N_NODES {
+        let accesses = by_elems[node].iter().filter(|e| matches!(e, Tapped::Access { .. })).count();
+        assert!(accesses >= U64_LEN + TRIP_LEN, "node {node} recorded only {accesses} accesses");
+        assert!(
+            by_elems[node].iter().any(|e| straddles(e, AccessKind::Read)),
+            "node {node}: the read-back must tap the straddling element"
+        );
+        assert_eq!(by_guards[node], by_elems[node], "tap stream of node {node}");
+    }
+    // Program entry 0 runs on node 0 and writes the straddler.
+    assert!(by_elems[0].iter().any(|e| straddles(e, AccessKind::Write)));
 }

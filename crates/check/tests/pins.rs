@@ -26,6 +26,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use repseq_apps::barnes_hut::{BarnesHut, BhConfig};
 use repseq_apps::ilink::{Ilink, IlinkConfig};
+use repseq_apps::kv::{KvConfig, KvStore};
 use repseq_check::{
     kitchen_sink, rse_kernel, run_schedule_instrumented, Builder, HarnessConfig, Schedule,
 };
@@ -70,6 +71,22 @@ fn pin_ilink(name: &str, cfg: RunConfig) {
     check_pin(name, &render(&report, &stats.snapshot(), &format!("{r:?}")));
 }
 
+fn pin_kv(name: &str, cfg: RunConfig) {
+    let mut rt = Runtime::new(cfg);
+    let kv = KvStore::setup(&mut rt, KvConfig::tiny().weak_scaled(PIN_NODES).with_skew(0.99));
+    let stats = rt.stats();
+    let result = Arc::new(Mutex::new(None));
+    let slot = Arc::clone(&result);
+    let report = rt
+        .run(move |team| {
+            *slot.lock() = Some(kv.run(team)?);
+            Ok(())
+        })
+        .expect("KV pin run must complete");
+    let r = result.lock().take().expect("KV result recorded");
+    check_pin(name, &render(&report, &stats.snapshot(), &format!("{r:?}")));
+}
+
 #[test]
 fn barnes_hut_master_only_matches_pre_refactor_pin() {
     pin_bh("bh_master_only", RunConfig::original(PIN_NODES));
@@ -88,6 +105,16 @@ fn ilink_master_only_matches_pre_refactor_pin() {
 #[test]
 fn ilink_rse_matches_pre_refactor_pin() {
     pin_ilink("ilink_rse", RunConfig::optimized(PIN_NODES));
+}
+
+#[test]
+fn kv_master_only_matches_pre_refactor_pin() {
+    pin_kv("kv_master_only", RunConfig::original(PIN_NODES));
+}
+
+#[test]
+fn kv_rse_matches_pre_refactor_pin() {
+    pin_kv("kv_rse", RunConfig::optimized(PIN_NODES));
 }
 
 // ---------------------------------------------------------------------

@@ -58,7 +58,7 @@ impl DsmNode {
                 DsmMsg::ValidNoticeReply { from, delta } => {
                     let mut st = self.st.lock();
                     for (p, vc) in delta {
-                        st.rse.valid_known[from].insert(p, vc.clone());
+                        st.rse.valid_known.set(from, p, vc.clone());
                         table.push((from, p, vc));
                     }
                     pending -= 1;

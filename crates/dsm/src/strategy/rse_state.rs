@@ -73,6 +73,67 @@ impl RseProbe {
     }
 }
 
+/// Every node's valid notice for one page: the notice a section
+/// retirement recorded for all nodes at once, and the nodes whose own
+/// notice was exchanged after it, sorted by node.
+#[derive(Debug, Default)]
+struct PageValidity {
+    all: Option<Vc>,
+    overrides: Vec<(NodeId, Vc)>,
+}
+
+impl PageValidity {
+    /// Node `q`'s valid notice: its own if one was exchanged after the
+    /// last retirement, else the retirement's.
+    fn get(&self, q: NodeId) -> Option<&Vc> {
+        match self.overrides.binary_search_by_key(&q, |&(o, _)| o) {
+            Ok(i) => Some(&self.overrides[i].1),
+            Err(_) => self.all.as_ref(),
+        }
+    }
+}
+
+/// The valid-notice table of §5.4.1: which vector time each node's copy
+/// of each page is valid at, as far as this node knows. A page retired by
+/// a replicated section is valid on every node at the section's entry
+/// time, so [`ValidTable::set_all`] records that with one entry, whatever
+/// the node count; a notice exchanged later for one node overrides it
+/// for that node only.
+#[derive(Debug, Default)]
+pub(crate) struct ValidTable {
+    pages: HashMap<PageId, PageValidity>,
+}
+
+impl ValidTable {
+    /// Record node `q`'s valid notice for page `p`.
+    pub(crate) fn set(&mut self, q: NodeId, p: PageId, vc: Vc) {
+        let overrides = &mut self.pages.entry(p).or_default().overrides;
+        match overrides.binary_search_by_key(&q, |&(o, _)| o) {
+            Ok(i) => overrides[i].1 = vc,
+            Err(i) => overrides.insert(i, (q, vc)),
+        }
+    }
+
+    /// Record that page `p` is valid on every node at `vc`.
+    pub(crate) fn set_all(&mut self, p: PageId, vc: Vc) {
+        let page = self.pages.entry(p).or_default();
+        page.all = Some(vc);
+        page.overrides.clear();
+    }
+
+    /// Node `q`'s valid notice for page `p`, if one is known.
+    pub(crate) fn get(&self, q: NodeId, p: PageId) -> Option<&Vc> {
+        self.pages.get(&p).and_then(|page| page.get(q))
+    }
+
+    /// Stored vector times: one per page retired for all nodes, plus one
+    /// per per-node notice.
+    #[cfg(test)]
+    pub(crate) fn stored(&self) -> usize {
+        self.pages.values().map(|page| page.all.is_some() as usize + page.overrides.len()).sum()
+    }
+}
+
 /// Per-node RSE protocol state.
 pub(crate) struct RseState {
     /// Inside a replicated section right now.
@@ -82,8 +143,10 @@ pub(crate) struct RseState {
     /// Pages written during the current replicated section.
     pub(crate) dirty: Vec<PageId>,
     /// Valid notices of every node, from the exchanges at replicated-
-    /// section entry. `valid_known[q][page]` is node `q`'s valid notice.
-    pub(crate) valid_known: Vec<HashMap<PageId, Vc>>,
+    /// section entry and from section retirements.
+    /// `valid_known.get(q, page)` is node `q`'s valid notice. A retired
+    /// page is stored once for all nodes, not once per node.
+    pub(crate) valid_known: ValidTable,
     /// Own pages whose valid notice changed since the last exchange.
     pub(crate) valid_changed: HashSet<PageId>,
     /// Pages this node has already sent a multicast request for, in the
@@ -141,7 +204,7 @@ impl RseState {
             active: false,
             entry_vc: Vc::zero(n),
             dirty: Vec::new(),
-            valid_known: vec![HashMap::new(); n],
+            valid_known: ValidTable::default(),
             valid_changed: HashSet::new(),
             requested: HashSet::new(),
             waiting_page: None,
@@ -172,7 +235,8 @@ impl NodeState {
         // Replies multicast in an earlier section may not cover the diffs
         // this section's faults will ask for.
         self.rse.oob_replies.clear();
-        for &p in &self.data.dirty_pages.clone() {
+        for i in 0..self.data.dirty_pages.len() {
+            let p = self.data.dirty_pages[i];
             let page = self.page_mut(p);
             debug_assert!(page.twin.is_some());
             page.writable = false;
@@ -193,7 +257,8 @@ impl NodeState {
     pub fn exit_replicated(&mut self) {
         assert!(self.rse.active);
         self.rse.active = false;
-        for &p in &self.data.dirty_pages.clone() {
+        for i in 0..self.data.dirty_pages.len() {
+            let p = self.data.dirty_pages[i];
             let page = self.page_mut(p);
             if page.rse_protected {
                 // Back to the normal post-interval-close state: twinned and
@@ -217,20 +282,16 @@ impl NodeState {
             // Section retirement re-protected the page written in it; the
             // retired copy stays valid, so reads may keep their entries.
             self.bump_page_write_prot_gen(p);
-        }
-        // Pages retired by a replicated section are valid on *every* node
-        // by construction — each node executed the same writes at the same
-        // vector time — so their validity is common knowledge. Record it
-        // locally for all peers instead of re-announcing it (with O(n)
-        // vector clocks per entry, from all n nodes) in the next
-        // valid-notice exchange: at hundreds of nodes those redundant
-        // notices dominated the section's wire traffic.
-        let n = self.n;
-        for &p in &retired {
+            // Pages retired by a replicated section are valid on *every*
+            // node by construction — each node executed the same writes at
+            // the same vector time — so their validity is common knowledge.
+            // Record it locally, once for all peers, instead of
+            // re-announcing it (with O(n) vector clocks per entry, from all
+            // n nodes) in the next valid-notice exchange: at hundreds of
+            // nodes those redundant notices dominated the section's wire
+            // traffic.
             self.rse.valid_changed.remove(&p);
-            for q in 0..n {
-                self.rse.valid_known[q].insert(p, entry_vc.clone());
-            }
+            self.rse.valid_known.set_all(p, entry_vc.clone());
         }
         self.rse.waiting_page = None;
         self.rse.requested.clear();
@@ -292,7 +353,7 @@ impl NodeState {
         out.sort_by_key(|(p, _)| *p);
         // Mirror into our own slot of the exchanged table.
         for (p, vc) in &out {
-            self.rse.valid_known[self.node].insert(*p, vc.clone());
+            self.rse.valid_known.set(self.node, *p, vc.clone());
         }
         out
     }
@@ -300,7 +361,7 @@ impl NodeState {
     /// Merge exchanged valid-notice deltas into the table.
     pub(crate) fn merge_valid_deltas(&mut self, deltas: &[(NodeId, PageId, Vc)]) {
         for (q, p, vc) in deltas {
-            self.rse.valid_known[*q].insert(*p, vc.clone());
+            self.rse.valid_known.set(*q, *p, vc.clone());
         }
     }
 
@@ -330,7 +391,7 @@ impl NodeState {
                 // plus deterministic updates all nodes replay identically).
                 self.data.pages.get(&p).map(|pg| &pg.valid_at).unwrap_or(&zero)
             } else {
-                self.rse.valid_known[q].get(&p).unwrap_or(&zero)
+                self.rse.valid_known.get(q, p).unwrap_or(&zero)
             };
             for &(o, i) in notices.iter() {
                 if valid_q.covers(o, i) {
@@ -382,10 +443,87 @@ impl NodeState {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
     use repseq_stats::NodeId;
 
     use super::*;
     use crate::state::testutil::{fake_write, state};
+
+    /// One operation on the valid-notice table. Node ids are reduced
+    /// modulo the cluster size; the `u32` becomes the notice's entry 0.
+    #[derive(Debug, Clone)]
+    enum ValidOp {
+        Set(NodeId, PageId, u32),
+        SetAll(PageId, u32),
+        Get(NodeId, PageId),
+    }
+
+    fn valid_op() -> impl Strategy<Value = ValidOp> {
+        (0u8..3, 0usize..16, 0u32..6, 0u32..50).prop_map(|(kind, q, p, v)| match kind {
+            0 => ValidOp::Set(q, p, v),
+            1 => ValidOp::SetAll(p, v),
+            _ => ValidOp::Get(q, p),
+        })
+    }
+
+    proptest! {
+        /// The one-table encoding answers every lookup exactly as n
+        /// per-node maps would, where a retirement inserts into all n.
+        #[test]
+        fn valid_table_matches_per_node_maps(
+            n in 1usize..9,
+            ops in prop::collection::vec(valid_op(), 0..120),
+        ) {
+            let vc = |v: u32| {
+                let mut vc = Vc::zero(n);
+                vc.set(0, v);
+                vc
+            };
+            let mut table = ValidTable::default();
+            let mut model: Vec<HashMap<PageId, Vc>> = vec![HashMap::new(); n];
+            for op in ops {
+                match op {
+                    ValidOp::Set(q, p, v) => {
+                        table.set(q % n, p, vc(v));
+                        model[q % n].insert(p, vc(v));
+                    }
+                    ValidOp::SetAll(p, v) => {
+                        table.set_all(p, vc(v));
+                        for m in model.iter_mut() {
+                            m.insert(p, vc(v));
+                        }
+                    }
+                    ValidOp::Get(q, p) => {
+                        prop_assert_eq!(table.get(q % n, p), model[q % n].get(&p));
+                    }
+                }
+            }
+            for (q, m) in model.iter().enumerate() {
+                for p in 0..6 {
+                    prop_assert_eq!(table.get(q, p), m.get(&p), "node {} page {}", q, p);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn retirement_stores_one_notice_per_page_at_256_nodes() {
+        let n = 256;
+        let mut st = state(5, n);
+        st.enter_replicated();
+        for p in [8, 9, 10] {
+            fake_write(&mut st, p, 0, 1);
+        }
+        st.exit_replicated();
+        assert_eq!(st.rse.valid_known.stored(), 3, "one entry per retired page, not one per node");
+        let entry_vc = st.rse.entry_vc.clone();
+        for q in 0..n {
+            for p in [8, 9, 10] {
+                assert_eq!(st.rse.valid_known.get(q, p), Some(&entry_vc));
+            }
+        }
+        assert_eq!(st.rse.valid_known.get(0, 11), None);
+    }
 
     #[test]
     fn rse_entry_protects_dirty_pages_and_exit_restores() {
@@ -485,11 +623,11 @@ mod tests {
         // both. Node 2 (us) missing both.
         let mut v0 = Vc::zero(4);
         v0.set(0, 1);
-        st.rse.valid_known[0].insert(3, v0);
+        st.rse.valid_known.set(0, 3, v0);
         let mut v1 = Vc::zero(4);
         v1.set(0, 1);
         v1.set(1, 1);
-        st.rse.valid_known[1].insert(3, v1);
+        st.rse.valid_known.set(1, 3, v1);
         // node 3: no entry → zero.
         let (req, wanted) = st.elect_requester(3);
         assert_eq!(req, 0, "lowest faulting node requests");
@@ -532,12 +670,12 @@ mod tests {
         // Drained: next delta is empty.
         assert!(st.take_valid_delta().is_empty());
         // Mirrored into own table slot.
-        assert!(st.rse.valid_known[1].contains_key(&2));
+        assert!(st.rse.valid_known.get(1, 2).is_some());
         // Merging into another node's state.
         let mut other = state(0, 2);
         let table: Vec<(NodeId, PageId, Vc)> =
             delta.into_iter().map(|(p, vc)| (1usize, p, vc)).collect();
         other.merge_valid_deltas(&table);
-        assert!(other.rse.valid_known[1][&2].covers(1, 1));
+        assert!(other.rse.valid_known.get(1, 2).unwrap().covers(1, 1));
     }
 }
