@@ -546,7 +546,8 @@ fn write_bench_kv(points: &[KvPoint], commit: &str) -> std::io::Result<()> {
 
 /// Schema of `BENCH_host.json`. v4: one engine, repeated samples per
 /// cluster size (v3 compared the removed serial, duty-handoff and
-/// window-parallel modes).
+/// window-parallel modes). Additive, not version-bumping: each cluster
+/// records the event queue's `peak_pending` and `stale_wakes`.
 const HOST_SCHEMA_VERSION: u32 = 4;
 
 /// Timed repeats per cluster size.
@@ -644,11 +645,13 @@ fn write_bench_host(
         let _ = writeln!(s, "     \"events_per_sec\": {},", spread_json(&rates, 0));
         let _ = writeln!(
             s,
-            "     \"handoff_switches\": {}, \"self_continues\": {}, \"inline_events\": {}, \"sprint_pops\": {}}}{}",
+            "     \"handoff_switches\": {}, \"self_continues\": {}, \"inline_events\": {}, \"sprint_pops\": {},\n     \"peak_pending\": {}, \"stale_wakes\": {}}}{}",
             c.exec.handoff_switches,
             c.exec.self_continues,
             c.exec.inline_events,
             c.exec.sprint_pops,
+            c.exec.peak_pending,
+            c.exec.stale_wakes,
             if i + 1 < cases.len() { "," } else { "" }
         );
     }
@@ -793,11 +796,13 @@ fn main() {
         let rates: Vec<String> =
             c.samples.iter().map(|r| format!("{:.0}", r.events_per_sec)).collect();
         println!(
-            "  {:>4} nodes: {} events   wall {}   ev/s {}",
+            "  {:>4} nodes: {} events   wall {}   ev/s {}   peak pending {}   stale wakes {}",
             c.nodes,
             c.events,
             walls.join(" "),
-            rates.join(" ")
+            rates.join(" "),
+            c.exec.peak_pending,
+            c.exec.stale_wakes
         );
     }
     write_bench_host(scale, host_cfg.n_bodies, &host_cases, &commit)

@@ -93,6 +93,8 @@ fn host_artifact_records_the_engine_trajectory() {
         "\"events_per_sec\":",
         "\"handoff_switches\":",
         "\"self_continues\":",
+        "\"peak_pending\":",
+        "\"stale_wakes\":",
     ] {
         assert!(host.contains(key), "BENCH_host.json v4 must record {key}");
     }

@@ -17,6 +17,7 @@ use repseq_sim::Dur;
 use repseq_stats::{host, NodeId};
 
 use crate::diff::Diff;
+use crate::fxhash::FxMap;
 use crate::interval::PageId;
 use crate::page::{DiffEntry, DiffRecord, PageBuf, PageMeta};
 
@@ -151,11 +152,13 @@ impl GenTable {
 
 /// Page/twin/diff state: one node's local memory.
 pub(crate) struct DataPlane {
-    pub(crate) pages: HashMap<PageId, PageMeta>,
+    /// The page table, hashed with the fixed [`FxMap`] hasher.
+    pub(crate) pages: FxMap<PageId, PageMeta>,
     /// Diff cache: local creations and remote fetches, never evicted
     /// (garbage collection is out of scope, see DESIGN.md). One record can
-    /// be keyed under several intervals it covers.
-    pub(crate) diffs: HashMap<(PageId, NodeId, u32), DiffEntry>,
+    /// be keyed under several intervals it covers. Hashed with the fixed
+    /// [`FxMap`] hasher: every fault probes it once per needed notice.
+    pub(crate) diffs: FxMap<(PageId, NodeId, u32), DiffEntry>,
     /// Pages with a twin (writes not yet diffed).
     pub(crate) dirty_pages: Vec<PageId>,
     /// Recycled page-sized buffers for twins: every write fault needs a
@@ -187,8 +190,8 @@ pub(crate) struct DataPlane {
 impl DataPlane {
     pub(crate) fn new(initial: Arc<HashMap<PageId, Arc<[u8]>>>) -> DataPlane {
         DataPlane {
-            pages: HashMap::new(),
-            diffs: HashMap::new(),
+            pages: FxMap::default(),
+            diffs: FxMap::default(),
             dirty_pages: Vec::new(),
             twin_pool: Vec::new(),
             twin_pool_cap: TWIN_POOL_DEFAULT_CAP,
@@ -389,9 +392,9 @@ impl NodeState {
     /// Group the needed notices that are not already in the diff cache by
     /// owner: the requests an ordinary page fault sends (in parallel, to
     /// each last writer).
-    pub(crate) fn fetch_plan(&mut self, p: PageId) -> HashMap<NodeId, Vec<u32>> {
+    pub(crate) fn fetch_plan(&mut self, p: PageId) -> FxMap<NodeId, Vec<u32>> {
         let needed = self.needed_notices(p);
-        let mut plan: HashMap<NodeId, Vec<u32>> = HashMap::new();
+        let mut plan: FxMap<NodeId, Vec<u32>> = FxMap::default();
         for &(owner, ivx) in &needed {
             if !self.data.diffs.contains_key(&(p, owner, ivx)) {
                 plan.entry(owner).or_default().push(ivx);
@@ -406,18 +409,24 @@ impl NodeState {
     /// Returns the modeled cost.
     pub(crate) fn apply_cached_diffs(&mut self, p: PageId) -> Dur {
         let needed = self.needed_notices(p);
-        // Collect the distinct records behind the needed notices.
+        // Collect the distinct records behind the needed notices, in order
+        // of first appearance: tag each with its notice index, group equal
+        // records (one record can be keyed under several notices), keep
+        // the first of each group and restore the order.
         let mut records: Vec<(u64, DiffEntry)> = self.scratch.diff_batch.take();
-        for &(owner, ivx) in &needed {
+        for (i, &(owner, ivx)) in needed.iter().enumerate() {
             let rec = self
                 .data
                 .diffs
                 .get(&(p, owner, ivx))
-                .unwrap_or_else(|| panic!("diff ({p},{owner},{ivx}) not cached"))
-                .clone();
-            if records.iter().any(|(_, r)| Arc::ptr_eq(r, &rec)) {
-                continue;
-            }
+                .unwrap_or_else(|| panic!("diff ({p},{owner},{ivx}) not cached"));
+            records.push((i as u64, Arc::clone(rec)));
+        }
+        self.recycle_notices(needed);
+        records.sort_unstable_by_key(|(i, r)| (Arc::as_ptr(r), *i));
+        records.dedup_by(|x, y| Arc::ptr_eq(&x.1, &y.1));
+        records.sort_unstable_by_key(|&(i, _)| i);
+        for (weight, rec) in &mut records {
             // Sort key: the vector time of the *earliest* covered interval,
             // in a linear extension of happened-before (dominated
             // timestamps have strictly smaller weights). The earliest
@@ -429,11 +438,9 @@ impl NodeState {
             // or is concurrent with all covered intervals (and, in a
             // race-free program, byte-disjoint).
             let key_ivx = rec.covers[0];
-            debug_assert!(key_ivx <= self.con.intervals.known(owner));
-            let weight = self.con.intervals.get(owner, key_ivx).vc.weight();
-            records.push((weight, rec));
+            debug_assert!(key_ivx <= self.con.intervals.known(rec.owner));
+            *weight = self.con.intervals.get(rec.owner, key_ivx).vc.weight();
         }
-        self.recycle_notices(needed);
         records
             .sort_by(|a, b| (a.0, a.1.owner, a.1.covers[0]).cmp(&(b.0, b.1.owner, b.1.covers[0])));
         let mut cost = Dur::ZERO;
@@ -626,6 +633,43 @@ mod tests {
         let page = st.page_mut(4);
         assert!(page.valid);
         assert_eq!(page.data.as_ref().unwrap().slice()[0], 2);
+    }
+
+    #[test]
+    fn a_record_keyed_under_several_notices_applies_once() {
+        let ps = DsmConfig::default().page_size;
+        // Node 0's intervals 1 and 2 share one merged record; node 1's
+        // interval 1 follows both.
+        let mut st = state(2, 3);
+        let vc = |v: [u32; 3]| {
+            let mut vc = Vc::zero(3);
+            for (i, x) in v.into_iter().enumerate() {
+                vc.set(i, x);
+            }
+            vc
+        };
+        st.apply_records(
+            vec![
+                IntervalRecord::new(0, 1, vc([1, 0, 0]), vec![4]),
+                IntervalRecord::new(0, 2, vc([2, 0, 0]), vec![4]),
+                IntervalRecord::new(1, 1, vc([2, 1, 0]), vec![4]),
+            ],
+            &vc([2, 1, 0]),
+        );
+        let base = vec![0u8; ps];
+        let mut a = base.clone();
+        a[0] = 1;
+        a[1] = 1;
+        let mut b = a.clone();
+        b[0] = 2;
+        let merged =
+            Arc::new(DiffRecord { owner: 0, covers: vec![1, 2], diff: Diff::create(&base, &a) });
+        let later = Arc::new(DiffRecord { owner: 1, covers: vec![1], diff: Diff::create(&a, &b) });
+        st.cache_diffs(4, &[merged, later]);
+        assert!(st.can_complete(4));
+        let cost = st.apply_cached_diffs(4);
+        assert_eq!(cost, st.cfg.diff_apply_cost(3), "two distinct records, three bytes");
+        assert_eq!(&st.page_mut(4).data.as_ref().unwrap().slice()[..2], &[2, 1]);
     }
 
     #[test]

@@ -45,6 +45,7 @@ mod dataplane;
 mod diff;
 mod exec;
 mod fetch;
+mod fxhash;
 mod handler;
 mod interval;
 mod msg;

@@ -3,12 +3,13 @@
 //! the master's multicast serialization — plus the read-only probes
 //! `repseq-check` asserts over.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use repseq_sim::{Dur, SimTime};
 use repseq_stats::NodeId;
 
 use crate::dataplane::pool_recycle;
+use crate::fxhash::{FxMap, FxSet};
 use crate::interval::PageId;
 use crate::state::NodeState;
 use crate::vc::Vc;
@@ -101,7 +102,7 @@ impl PageValidity {
 /// for that node only.
 #[derive(Debug, Default)]
 pub(crate) struct ValidTable {
-    pages: HashMap<PageId, PageValidity>,
+    pages: FxMap<PageId, PageValidity>,
 }
 
 impl ValidTable {
@@ -148,14 +149,14 @@ pub(crate) struct RseState {
     /// page is stored once for all nodes, not once per node.
     pub(crate) valid_known: ValidTable,
     /// Own pages whose valid notice changed since the last exchange.
-    pub(crate) valid_changed: HashSet<PageId>,
+    pub(crate) valid_changed: FxSet<PageId>,
     /// Pages this node has already sent a multicast request for, in the
     /// current replicated section.
-    pub(crate) requested: HashSet<PageId>,
+    pub(crate) requested: FxSet<PageId>,
     /// Page the application process is blocked on (handler wakes it).
     pub(crate) waiting_page: Option<PageId>,
     /// Active reply chains, by request sequence number.
-    pub(crate) chains: HashMap<u64, ChainState>,
+    pub(crate) chains: FxMap<u64, ChainState>,
     /// Total chain turns this node skipped over because the frame was lost
     /// (see [`ChainState::holes`]); monotone over the whole run, so the
     /// torture harness can tell whether a schedule exercised the gap path.
@@ -205,10 +206,10 @@ impl RseState {
             entry_vc: Vc::zero(n),
             dirty: Vec::new(),
             valid_known: ValidTable::default(),
-            valid_changed: HashSet::new(),
-            requested: HashSet::new(),
+            valid_changed: FxSet::default(),
+            requested: FxSet::default(),
             waiting_page: None,
-            chains: HashMap::new(),
+            chains: FxMap::default(),
             chain_holes: 0,
             recovery_rounds: 0,
             chain_turns: 0,
@@ -374,17 +375,17 @@ impl NodeState {
         let n = self.n;
         let me = self.node;
         // Walk the page's write notices against every node's exchanged
-        // valid notice. The snapshot buffer comes from the scratch arena
-        // (`page.notices` cannot be borrowed across `self` accesses below),
-        // and each node's missing set is folded into `wanted` in place —
-        // the old per-node `collect` allocated n short-lived vectors per
-        // election, a steady drumbeat at hundreds of nodes. `wanted` itself
-        // escapes into the multicast request message, so it stays owned.
+        // valid notice, marking each notice some node misses. The snapshot
+        // buffer comes from the scratch arena (`page.notices` cannot be
+        // borrowed across `self` accesses below). A notice already marked
+        // needs no further check: marking it also elected the requester.
+        // `wanted` escapes into the multicast request message, so it stays
+        // owned.
         let mut notices = self.scratch.notices.take();
         notices.extend_from_slice(&self.page_mut(p).notices);
         let zero = Vc::zero(n);
         let mut requester = None;
-        let mut wanted: Vec<(NodeId, u32)> = Vec::new();
+        let mut missed = vec![false; notices.len()];
         for q in 0..n {
             let valid_q = if q == me {
                 // Our own live valid notice (identical to what we exchanged,
@@ -393,18 +394,19 @@ impl NodeState {
             } else {
                 self.rse.valid_known.get(q, p).unwrap_or(&zero)
             };
-            for &(o, i) in notices.iter() {
-                if valid_q.covers(o, i) {
+            for (&(o, i), missed) in notices.iter().zip(&mut missed) {
+                if *missed || valid_q.covers(o, i) {
                     continue;
                 }
                 requester.get_or_insert(q);
-                if !wanted.contains(&(o, i)) {
-                    wanted.push((o, i));
-                }
+                *missed = true;
             }
         }
+        let mut wanted: Vec<(NodeId, u32)> =
+            notices.iter().zip(&missed).filter(|(_, &m)| m).map(|(&notice, _)| notice).collect();
         self.scratch.notices.give(notices);
-        wanted.sort();
+        wanted.sort_unstable();
+        wanted.dedup();
         (requester.expect("election on a page nobody faults on"), wanted)
     }
 
@@ -632,6 +634,9 @@ mod tests {
         let (req, wanted) = st.elect_requester(3);
         assert_eq!(req, 0, "lowest faulting node requests");
         assert_eq!(wanted, vec![(0, 1), (1, 1)], "union of everyone's missing diffs");
+        // A notice listed twice is still requested once.
+        st.page_mut(3).notices.push((0, 1));
+        assert_eq!(st.elect_requester(3), (0, vec![(0, 1), (1, 1)]));
     }
 
     /// The owner answers the first recovery request for a page, suppresses

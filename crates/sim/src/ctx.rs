@@ -1,9 +1,7 @@
 //! The process-side handle to the simulation kernel.
 
-use std::cell::Cell;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use crate::engine::{EventKind, Kernel, Resume, Status};
 use crate::fiber::Yielder;
@@ -23,7 +21,7 @@ use repseq_substrate::{Dur, Envelope, Pid, SimTime, Stopped, SubstrateCtx};
 /// run (or panic, for a lock that detects re-entry).
 pub struct Ctx<M: Send + 'static> {
     pid: Pid,
-    kernel: Arc<Mutex<Kernel<M>>>,
+    kernel: Rc<RefCell<Kernel<M>>>,
     /// Switches back to the run loop at a yield.
     yielder: Yielder,
     /// Local copy of the process clock (nanoseconds); authoritative while
@@ -35,8 +33,8 @@ pub struct Ctx<M: Send + 'static> {
 
 impl<M: Send + 'static> Ctx<M> {
     /// The handle of process `pid`, created when its coroutine first runs.
-    pub(crate) fn new(pid: Pid, kernel: Arc<Mutex<Kernel<M>>>, yielder: Yielder) -> Self {
-        let clock = kernel.lock().procs[pid].clock.nanos();
+    pub(crate) fn new(pid: Pid, kernel: Rc<RefCell<Kernel<M>>>, yielder: Yielder) -> Self {
+        let clock = kernel.borrow().procs[pid].clock.nanos();
         Ctx { pid, kernel, yielder, clock: Cell::new(clock), pending: Cell::new(0) }
     }
 
@@ -65,7 +63,7 @@ impl<M: Send + 'static> Ctx<M> {
     /// the network model, which accounts for link occupancy. Never yields.
     pub fn send(&self, dst: Pid, msg: M, deliver_at: SimTime) {
         let at = deliver_at.max(self.now());
-        let mut k = self.kernel.lock();
+        let mut k = self.kernel.borrow_mut();
         debug_assert!(dst < k.procs.len(), "send to unknown pid {dst}");
         k.push_event(
             self.pid,
@@ -119,7 +117,7 @@ impl<M: Send + 'static> Ctx<M> {
         // what the checkpoint path would return — minus a checkpoint event
         // and a coroutine round trip per received burst message.
         {
-            let mut k = self.kernel.lock();
+            let mut k = self.kernel.borrow_mut();
             if let Some(env) = k.procs[self.pid].mailbox.pop_front() {
                 return Ok(Some(env));
             }
@@ -139,7 +137,7 @@ impl<M: Send + 'static> Ctx<M> {
         if timed_out {
             return Ok(None);
         }
-        let mut k = self.kernel.lock();
+        let mut k = self.kernel.borrow_mut();
         Ok(k.procs[self.pid].mailbox.pop_front())
     }
 
@@ -156,8 +154,8 @@ impl<M: Send + 'static> Ctx<M> {
         self.flushed_clock()
     }
 
-    /// Yield to the engine. `setup` runs under the kernel lock and must set
-    /// this process's status and schedule any wake events. Returns whether
+    /// Yield to the engine. `setup` gets the kernel and must set this
+    /// process's status and schedule any wake events. Returns whether
     /// the resuming event was a receive deadline.
     ///
     /// The process switches back to the run loop, which switches into it
@@ -167,7 +165,7 @@ impl<M: Send + 'static> Ctx<M> {
     fn block(&self, setup: impl FnOnce(&mut Kernel<M>, Pid)) -> Result<bool, Stopped> {
         let c = self.flushed_clock();
         {
-            let mut k = self.kernel.lock();
+            let mut k = self.kernel.borrow_mut();
             k.procs[self.pid].clock = c;
             setup(&mut k, self.pid);
             if k.procs[self.pid].resume == Resume::Stop || std::thread::panicking() {
@@ -175,7 +173,7 @@ impl<M: Send + 'static> Ctx<M> {
             }
         }
         self.yielder.suspend();
-        let k = self.kernel.lock();
+        let k = self.kernel.borrow();
         let slot = &k.procs[self.pid];
         match slot.resume {
             Resume::Go { timed_out } => {

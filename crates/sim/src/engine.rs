@@ -17,14 +17,16 @@
 //! execution assumes deterministic sequential sections) and which makes
 //! every experiment in this repository reproducible.
 //!
-//! # Event sharding
+//! # Event queue
 //!
-//! Pending events live in per-*group* ordered queues (a group is normally
-//! one simulated node: its application and protocol-handler processes) with
-//! a lazy merge index over the group heads — see [`EventQueues`]. Event keys
-//! are `(time, src_group, seq)` where `src_group` is the scheduling group of
-//! the *pushing* process and `seq` is drawn from that group's private
-//! counter, so ties at one instant break by source group, then push order.
+//! Pending events wait in one binary heap of `(key, slot)` pairs over a slab
+//! of payloads (see [`EventQueue`]), so a sift moves a fixed-size key and
+//! never a message. Event keys are `(time, src_group, seq)` where
+//! `src_group` is the scheduling group of the *pushing* process (a group is
+//! normally one simulated node: its application and protocol-handler
+//! processes) and `seq` is drawn from that group's private counter, so
+//! ties at one instant break by source group, then push order. Keys are
+//! unique, so the pop order is a total order fixed by the pushes alone.
 //!
 //! # End of run
 //!
@@ -34,11 +36,10 @@
 //! stops. With no groups or zero lookahead the horizon is degenerate and
 //! the run stops at the exit event.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::collections::{BinaryHeap, VecDeque};
+use std::rc::Rc;
 
 use crate::ctx::Ctx;
 use crate::error::SimError;
@@ -60,7 +61,7 @@ pub(crate) enum EventKind<M> {
 }
 
 impl<M> EventKind<M> {
-    /// The process an event is routed to (and whose group queues it).
+    /// The process an event is routed to.
     fn target(&self) -> Pid {
         match self {
             EventKind::Wake { pid, .. } => *pid,
@@ -76,131 +77,47 @@ pub(crate) struct Event<M> {
     pub kind: EventKind<M>,
 }
 
-/// Sharded pending-event store: one ordered map per group plus a lazy merge
-/// index over the group heads.
-///
-/// Invariant: for every non-empty group, either the
-/// merge heap contains an entry carrying the group's current head key, or
-/// that head is the `deferred` slot. The heap may additionally hold *stale*
-/// entries — keys already consumed — which are strictly smaller than their
-/// group's live head and are skipped at pop. Pops therefore always yield
-/// the global minimum key.
-///
-/// The `deferred` slot is the sprint optimization: after popping from group
-/// `g`, `g`'s next head is withheld from the heap. If it is still the
-/// global minimum at the next pop (true for any run of consecutive events
-/// on one node), it is consumed with two `BTreeMap` operations and no heap
-/// traffic at all.
-struct EventQueues<M> {
-    groups: Vec<BTreeMap<EvKey, EventKind<M>>>,
-    heads: BinaryHeap<Reverse<(EvKey, usize)>>,
-    deferred: Option<(EvKey, usize)>,
-    /// pid → group index. Each process starts in its own group;
-    /// [`Sim::assign_group`] merges the processes of one simulated node.
-    group_of: Vec<usize>,
-    len: usize,
-    sprint_pops: u64,
+/// Pending events: a min-heap of `(key, slot)` over a slab of payloads.
+/// The heap orders 32-byte entries; a payload stays in its slab slot from
+/// push to pop, and freed slots are reused.
+struct EventQueue<M> {
+    heap: BinaryHeap<Reverse<(EvKey, u32)>>,
+    slab: Vec<Option<EventKind<M>>>,
+    free: Vec<u32>,
 }
 
-impl<M> EventQueues<M> {
+impl<M> EventQueue<M> {
     fn new() -> Self {
-        EventQueues {
-            groups: Vec::new(),
-            heads: BinaryHeap::new(),
-            deferred: None,
-            group_of: Vec::new(),
-            len: 0,
-            sprint_pops: 0,
-        }
+        EventQueue { heap: BinaryHeap::new(), slab: Vec::new(), free: Vec::new() }
     }
 
-    /// Register a new process in a fresh group of its own.
-    fn add_proc(&mut self) {
-        self.group_of.push(self.groups.len());
-        self.groups.push(BTreeMap::new());
-    }
-
-    /// Move `pid` (and its pending events) to `group`.
-    fn assign_group(&mut self, pid: Pid, group: usize) {
-        while self.groups.len() <= group {
-            self.groups.push(BTreeMap::new());
-        }
-        let old = self.group_of[pid];
-        if old == group {
-            return;
-        }
-        if let Some(d) = self.deferred.take() {
-            self.heads.push(Reverse(d));
-        }
-        self.group_of[pid] = group;
-        let moved: Vec<EvKey> = self.groups[old]
-            .iter()
-            .filter(|(_, kind)| kind.target() == pid)
-            .map(|(&k, _)| k)
-            .collect();
-        for key in moved {
-            let kind = self.groups[old].remove(&key).expect("key just seen");
-            self.groups[group].insert(key, kind);
-        }
-        // Re-announce both heads; redundant entries are skipped as stale.
-        for g in [old, group] {
-            if let Some((&k, _)) = self.groups[g].first_key_value() {
-                self.heads.push(Reverse((k, g)));
-            }
-        }
+    fn len(&self) -> usize {
+        self.heap.len()
     }
 
     fn push(&mut self, key: EvKey, kind: EventKind<M>) {
-        let g = self.group_of[kind.target()];
-        let new_head = self.groups[g].first_key_value().is_none_or(|(&k, _)| key < k);
-        let dup = self.groups[g].insert(key, kind);
-        debug_assert!(dup.is_none(), "duplicate event key");
-        self.len += 1;
-        if new_head {
-            match self.deferred {
-                // The deferred slot covered this group's old head; it must
-                // track the new, smaller one.
-                Some((_, dg)) if dg == g => self.deferred = Some((key, g)),
-                _ => self.heads.push(Reverse((key, g))),
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(kind);
+                slot
             }
-        }
+            None => {
+                self.slab.push(Some(kind));
+                u32::try_from(self.slab.len() - 1).expect("more than 2^32 pending events")
+            }
+        };
+        self.heap.push(Reverse((key, slot)));
     }
 
     fn pop(&mut self) -> Option<Event<M>> {
-        if let Some((dk, dg)) = self.deferred.take() {
-            // Sprint: stale heap entries only under-estimate other groups'
-            // heads, so `dk <= top` conservatively proves the deferred head
-            // is still the global minimum.
-            if self.heads.peek().is_none_or(|&Reverse((tk, _))| dk <= tk) {
-                self.sprint_pops += 1;
-                return Some(self.take(dk, dg));
-            }
-            self.heads.push(Reverse((dk, dg)));
-        }
-        loop {
-            let Reverse((key, g)) = self.heads.pop()?;
-            if self.groups[g].first_key_value().map(|(&k, _)| k) == Some(key) {
-                return Some(self.take(key, g));
-            }
-            // Stale: this key was consumed earlier (or migrated); skip.
-        }
+        let Reverse(((time, src, seq), slot)) = self.heap.pop()?;
+        let kind = self.slab[slot as usize].take().expect("queued slot is empty");
+        self.free.push(slot);
+        Some(Event { time, src, seq, kind })
     }
 
-    fn take(&mut self, key: EvKey, g: usize) -> Event<M> {
-        let kind = self.groups[g].remove(&key).expect("head vanished");
-        debug_assert!(self.deferred.is_none());
-        if let Some((&next, _)) = self.groups[g].first_key_value() {
-            self.deferred = Some((next, g));
-        }
-        self.len -= 1;
-        Event { time: key.0, src: key.1, seq: key.2, kind }
-    }
-
-    /// Exact global minimum key, by scanning the group heads. Used only on
-    /// the quiescence tail after the last primary exit, where the lazy
-    /// index may be arbitrarily stale.
     fn peek_min(&self) -> Option<EvKey> {
-        self.groups.iter().filter_map(|g| g.first_key_value().map(|(&k, _)| k)).min()
+        self.heap.peek().map(|Reverse((key, _))| *key)
     }
 }
 
@@ -249,8 +166,8 @@ pub(crate) struct ProcSlot<M> {
 /// are excluded from determinism fingerprints.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecCounters {
-    /// Pops served straight from the last group's queue, bypassing the
-    /// merge index (consecutive same-node events).
+    /// Pops whose target process is in the same group as the previous
+    /// pop's target: runs of consecutive events on one simulated node.
     pub sprint_pops: u64,
     /// Coroutine resumes: each is a switch into a process and, when it
     /// blocks or exits, a switch back to the run loop.
@@ -263,13 +180,28 @@ pub struct ExecCounters {
     /// processes, checkpoint wakes that found an empty mailbox, stale
     /// wakes.
     pub inline_events: u64,
+    /// Most events pending at once.
+    pub peak_pending: u64,
+    /// Wakes whose process had moved on (resumed by another event, or
+    /// exited) by the time they popped, or by the end of the run for
+    /// those still queued: mostly receive deadlines overtaken by a
+    /// delivery. The popped ones are also counted in
+    /// [`inline_events`](Self::inline_events).
+    pub stale_wakes: u64,
 }
 
 pub(crate) struct Kernel<M> {
-    queues: EventQueues<M>,
+    queue: EventQueue<M>,
     pub procs: Vec<ProcSlot<M>>,
-    /// Per-source-group event sequence counters (index = group id at push
-    /// time).
+    /// pid → scheduling group. Each process starts in a fresh group of
+    /// its own; [`Sim::assign_group`] merges the processes of one
+    /// simulated node. Only used to form event keys (and to count
+    /// same-group pops).
+    group_of: Vec<usize>,
+    /// Target group of the previous pop (for `sprint_pops`).
+    last_group: Option<usize>,
+    /// Per-group event sequence counters, one for every group numbered so
+    /// far: a fresh group's index is their count.
     seqs: Vec<u64>,
     pub trace: Option<Vec<TraceEntry>>,
     /// Count of popped events, for the report.
@@ -296,15 +228,13 @@ impl<M> Kernel<M> {
     /// Schedule an event pushed by process `src`. The key is formed from
     /// `src`'s group and that group's sequence counter.
     pub(crate) fn push_event(&mut self, src: Pid, time: SimTime, kind: EventKind<M>) {
-        let sg = self.queues.group_of[src];
-        if self.seqs.len() <= sg {
-            self.seqs.resize(sg + 1, 0);
-        }
+        let sg = self.group_of[src];
         let seq = self.seqs[sg];
         self.seqs[sg] += 1;
         #[cfg(debug_assertions)]
         self.assert_lookahead(time, &kind);
-        self.queues.push((time, sg as u64, seq), kind);
+        self.queue.push((time, sg as u64, seq), kind);
+        self.exec.peak_pending = self.exec.peak_pending.max(self.queue.len() as u64);
     }
 
     /// Validate the conservative-lookahead contract: a running process can
@@ -319,7 +249,7 @@ impl<M> Kernel<M> {
             return;
         }
         let EventKind::Deliver { dst, env } = kind else { return };
-        if self.queues.group_of[env.from] == self.queues.group_of[*dst] {
+        if self.group_of[env.from] == self.group_of[*dst] {
             return;
         }
         debug_assert!(
@@ -338,8 +268,13 @@ impl<M> Kernel<M> {
 
     /// Pop the globally next event and do the per-event bookkeeping.
     fn pop_next(&mut self) -> Option<Event<M>> {
-        let ev = self.queues.pop()?;
+        let ev = self.queue.pop()?;
         debug_assert!(ev.time >= self.end_time, "kernel time went backwards");
+        let g = self.group_of[ev.kind.target()];
+        if self.last_group == Some(g) {
+            self.exec.sprint_pops += 1;
+        }
+        self.last_group = Some(g);
         self.end_time = self.end_time.max(ev.time);
         self.events_processed += 1;
         if self.grouped && self.lookahead != Dur::ZERO && ev.time >= self.cur_horizon {
@@ -356,13 +291,11 @@ impl<M> Kernel<M> {
     fn apply(&mut self, ev: Event<M>) -> Option<Pid> {
         match ev.kind {
             EventKind::Wake { pid, gen } => {
-                let slot = &self.procs[pid];
-                if slot.gen != gen
-                    || slot.status == Status::Exited
-                    || slot.status == Status::Running
-                {
-                    return None; // stale wake
+                if self.wake_is_stale(pid, gen) {
+                    self.exec.stale_wakes += 1;
+                    return None;
                 }
+                let slot = &self.procs[pid];
                 match slot.status {
                     Status::Sleeping => Some(self.resume(pid, ev.time, false)),
                     Status::Polling { deadline } => {
@@ -397,6 +330,22 @@ impl<M> Kernel<M> {
                 }
             }
         }
+    }
+
+    /// A wake is stale once its process was resumed by another event (the
+    /// generation moved on), is running, or has exited.
+    fn wake_is_stale(&self, pid: Pid, gen: u64) -> bool {
+        let slot = &self.procs[pid];
+        slot.gen != gen || slot.status == Status::Exited || slot.status == Status::Running
+    }
+
+    /// Stale wakes still queued when the run ends.
+    fn queued_stale_wakes(&self) -> u64 {
+        let wakes = self.queue.slab.iter().flatten().filter_map(|kind| match *kind {
+            EventKind::Wake { pid, gen } => Some((pid, gen)),
+            EventKind::Deliver { .. } => None,
+        });
+        wakes.filter(|&(pid, gen)| self.wake_is_stale(pid, gen)).count() as u64
     }
 
     fn resume(&mut self, pid: Pid, at: SimTime, timed_out: bool) -> Pid {
@@ -454,7 +403,7 @@ pub struct SimReport {
 /// assert_eq!(report.end_time.nanos(), 10_000);
 /// ```
 pub struct Sim<M: Send + 'static> {
-    kernel: Arc<Mutex<Kernel<M>>>,
+    kernel: Rc<RefCell<Kernel<M>>>,
     /// One coroutine per process, by pid; `None` once it has finished.
     fibers: Vec<Option<Fiber>>,
     record_trace: bool,
@@ -470,9 +419,11 @@ impl<M: Send + 'static> Sim<M> {
     /// Create an empty simulation.
     pub fn new() -> Self {
         Sim {
-            kernel: Arc::new(Mutex::new(Kernel {
-                queues: EventQueues::new(),
+            kernel: Rc::new(RefCell::new(Kernel {
+                queue: EventQueue::new(),
                 procs: Vec::new(),
+                group_of: Vec::new(),
+                last_group: None,
                 seqs: Vec::new(),
                 trace: None,
                 events_processed: 0,
@@ -499,7 +450,7 @@ impl<M: Send + 'static> Sim<M> {
     /// (see the module docs); debug builds check the bound on every
     /// cross-group send.
     pub fn set_lookahead(&mut self, lookahead: Dur) {
-        self.kernel.lock().lookahead = lookahead;
+        self.kernel.borrow_mut().lookahead = lookahead;
     }
 
     /// Put `pid` into scheduling group `group`. Processes of one simulated
@@ -507,8 +458,11 @@ impl<M: Send + 'static> Sim<M> {
     /// group: their mutual traffic has zero latency, while cross-group
     /// traffic is bounded below by the lookahead.
     pub fn assign_group(&mut self, pid: Pid, group: usize) {
-        let mut k = self.kernel.lock();
-        k.queues.assign_group(pid, group);
+        let mut k = self.kernel.borrow_mut();
+        k.group_of[pid] = group;
+        if k.seqs.len() <= group {
+            k.seqs.resize(group + 1, 0);
+        }
         k.grouped = true;
     }
 
@@ -537,7 +491,7 @@ impl<M: Send + 'static> Sim<M> {
         F: FnOnce(Ctx<M>) -> Result<(), Stopped> + Send + 'static,
     {
         let pid = {
-            let mut k = self.kernel.lock();
+            let mut k = self.kernel.borrow_mut();
             let pid = k.procs.len();
             k.procs.push(ProcSlot {
                 name: name.to_string(),
@@ -548,12 +502,14 @@ impl<M: Send + 'static> Sim<M> {
                 mailbox: VecDeque::new(),
                 resume: Resume::Go { timed_out: false },
             });
-            k.queues.add_proc();
+            let fresh = k.seqs.len();
+            k.group_of.push(fresh);
+            k.seqs.push(0);
             // Initial wake at t=0 so the process starts when the engine runs.
             k.push_event(pid, SimTime::ZERO, EventKind::Wake { pid, gen: 0 });
             pid
         };
-        let kernel = Arc::clone(&self.kernel);
+        let kernel = Rc::clone(&self.kernel);
         self.fibers.push(Some(Fiber::new(Box::new(move |yielder| {
             let _ = f(Ctx::new(pid, kernel, yielder));
         }))));
@@ -563,18 +519,21 @@ impl<M: Send + 'static> Sim<M> {
     /// Run the simulation to completion.
     pub fn run(mut self) -> Result<SimReport, SimError> {
         if self.record_trace {
-            self.kernel.lock().trace = Some(Vec::new());
+            self.kernel.borrow_mut().trace = Some(Vec::new());
         }
-        let n_primary = self.kernel.lock().procs.iter().filter(|p| !p.daemon).count();
+        let n_primary = self.kernel.borrow().procs.iter().filter(|p| !p.daemon).count();
         if n_primary == 0 {
             return Err(SimError::NoPrimaryProcesses);
         }
         let result = self.event_loop(n_primary);
+        {
+            let mut k = self.kernel.borrow_mut();
+            k.exec.stale_wakes += k.queued_stale_wakes();
+        }
         // Stop remaining processes (daemons, or everyone on error).
         let stop_err = self.stop_remaining();
 
-        let mut k = self.kernel.lock();
-        k.exec.sprint_pops = k.queues.sprint_pops;
+        let mut k = self.kernel.borrow_mut();
         let report = SimReport {
             end_time: k.end_time,
             proc_clocks: k.procs.iter().map(|p| (p.name.clone(), p.clock)).collect(),
@@ -607,8 +566,8 @@ impl<M: Send + 'static> Sim<M> {
         let mut last: Option<Pid> = None;
         loop {
             let pid = {
-                let mut k = self.kernel.lock();
-                if live_primary == 0 && k.queues.peek_min().is_none_or(|key| key.0 >= k.cur_horizon)
+                let mut k = self.kernel.borrow_mut();
+                if live_primary == 0 && k.queue.peek_min().is_none_or(|key| key.0 >= k.cur_horizon)
                 {
                     return Ok(());
                 }
@@ -634,7 +593,7 @@ impl<M: Send + 'static> Sim<M> {
                 Some(panicked) => {
                     last = None;
                     self.fibers[pid] = None;
-                    let mut k = self.kernel.lock();
+                    let mut k = self.kernel.borrow_mut();
                     k.procs[pid].status = Status::Exited;
                     let slot = &k.procs[pid];
                     if panicked {
@@ -669,11 +628,11 @@ impl<M: Send + 'static> Sim<M> {
             if !fiber.started() {
                 continue;
             }
-            self.kernel.lock().procs[pid].resume = Resume::Stop;
+            self.kernel.borrow_mut().procs[pid].resume = Resume::Stop;
             // A stopped process never suspends again (`Ctx::block` returns
             // `Stopped` at once), so this resume runs it to its end.
             let panicked = fiber.resume() == Some(true);
-            let mut k = self.kernel.lock();
+            let mut k = self.kernel.borrow_mut();
             k.procs[pid].status = Status::Exited;
             if panicked && err.is_none() {
                 err = Some(SimError::ProcessPanicked { pid, name: k.procs[pid].name.clone() });

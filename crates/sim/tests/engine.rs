@@ -432,10 +432,10 @@ fn self_resumes_are_counted() {
 }
 
 #[test]
-fn queued_runs_sprint_past_the_merge_index() {
-    // Several deliveries queued for one process: after the first pop, the
-    // rest of the run is served from the group queue's deferred head
-    // without touching the merge heap.
+fn consecutive_pops_for_one_group_count_as_sprints() {
+    // Eight deliveries queued for one process: once the receiver's group
+    // is popped, every later event targets it too — its checkpoint wakes
+    // and the deliveries that resume it.
     let mut sim = Sim::<u32>::new();
     sim.spawn("burst-sender", |ctx| {
         for i in 0..8u32 {
@@ -450,7 +450,42 @@ fn queued_runs_sprint_past_the_merge_index() {
         Ok(())
     });
     let report = sim.run().unwrap();
-    assert!(report.exec.sprint_pops >= 8, "burst run should sprint: {:?}", report.exec);
+    // Sender wake, receiver wake, then eight (checkpoint, delivery) pairs
+    // for the receiver: all but the first two pops repeat its group.
+    assert_eq!(report.events_processed, 18, "{:?}", report.exec);
+    assert_eq!(report.exec.sprint_pops, 16, "{:?}", report.exec);
+    // The sender's eight messages plus the receiver's initial wake.
+    assert_eq!(report.exec.peak_pending, 9, "{:?}", report.exec);
+    assert_eq!(report.exec.stale_wakes, 0, "{:?}", report.exec);
+}
+
+/// A receiver whose 100 µs deadline is overtaken by a delivery at 10 µs;
+/// the run ends when the sender wakes at `sender_sleep_us`.
+fn overtaken_deadline(sender_sleep_us: u64) -> repseq_sim::SimReport {
+    let mut sim = Sim::<u32>::new();
+    sim.spawn("sender", move |ctx| {
+        ctx.send(1, 7, ctx.now() + Dur::from_micros(10));
+        ctx.sleep(Dur::from_micros(sender_sleep_us))
+    });
+    sim.spawn_daemon("receiver", |ctx| {
+        let env = ctx.recv_timeout(Dur::from_micros(100))?;
+        assert_eq!(env.map(|e| e.msg), Some(7));
+        Ok(())
+    });
+    sim.run().unwrap()
+}
+
+#[test]
+fn overtaken_deadlines_count_as_stale_wakes_popped_or_queued() {
+    // The deadline pops (and is skipped) before the sender's wake at 200 µs.
+    let popped = overtaken_deadline(200);
+    assert_eq!(popped.end_time, SimTime::from_nanos(200_000));
+    assert_eq!(popped.exec.stale_wakes, 1, "{:?}", popped.exec);
+    // The run ends at 50 µs with the deadline still queued.
+    let queued = overtaken_deadline(50);
+    assert_eq!(queued.end_time, SimTime::from_nanos(50_000));
+    assert_eq!(queued.exec.stale_wakes, 1, "{:?}", queued.exec);
+    assert_eq!(queued.events_processed + 1, popped.events_processed);
 }
 
 #[test]
