@@ -13,15 +13,7 @@ fn run_bh(mode: SeqMode, n: usize, cfg: BhConfig) -> (BhResult, StatsSnapshot) {
     let mut rt = Runtime::new(RunConfig { cluster: ClusterConfig::paper(n), seq_mode: mode });
     let app = BarnesHut::setup(&mut rt, cfg);
     let stats = rt.stats();
-    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
-    let out2 = std::sync::Arc::clone(&out);
-    rt.run(move |team| {
-        let r = app.run(team)?;
-        *out2.lock() = Some(r);
-        Ok(())
-    })
-    .expect("barnes-hut run failed");
-    let r = out.lock().take().unwrap();
+    let (r, _) = rt.run_app(move |team| app.run(team)).expect("barnes-hut run failed");
     (r, stats.snapshot())
 }
 
@@ -29,15 +21,7 @@ fn run_ilink(mode: SeqMode, n: usize, cfg: IlinkConfig) -> (IlinkResult, StatsSn
     let mut rt = Runtime::new(RunConfig { cluster: ClusterConfig::paper(n), seq_mode: mode });
     let app = Ilink::setup(&mut rt, cfg);
     let stats = rt.stats();
-    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
-    let out2 = std::sync::Arc::clone(&out);
-    rt.run(move |team| {
-        let r = app.run(team)?;
-        *out2.lock() = Some(r);
-        Ok(())
-    })
-    .expect("ilink run failed");
-    let r = out.lock().take().unwrap();
+    let (r, _) = rt.run_app(move |team| app.run(team)).expect("ilink run failed");
     (r, stats.snapshot())
 }
 
@@ -129,15 +113,7 @@ fn contention_kernel_modes_agree() {
         let mut rt = Runtime::new(RunConfig { cluster: ClusterConfig::paper(4), seq_mode: mode });
         let k = ContentionKernel::setup(&mut rt, KernelConfig::default());
         let stats = rt.stats();
-        let out = std::sync::Arc::new(parking_lot::Mutex::new(0u64));
-        let out2 = std::sync::Arc::clone(&out);
-        rt.run(move |team| {
-            let c = k.run(team)?;
-            *out2.lock() = c;
-            Ok(())
-        })
-        .unwrap();
-        let c = *out.lock();
+        let (c, _) = rt.run_app(move |team| k.run(team)).unwrap();
         (c, stats.snapshot())
     };
     let (c_orig, s_orig) = run(SeqMode::MasterOnly);

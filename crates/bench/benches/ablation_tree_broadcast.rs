@@ -13,8 +13,10 @@
 //! i.e. "about half of the improvement stems from contention elimination
 //! and the other half from broadcasting the particles."
 
+use repseq_apps::barnes_hut::BarnesHut;
 use repseq_bench::*;
 use repseq_core::SeqMode;
+use repseq_dsm::ClusterConfig;
 
 fn main() {
     let scale = Scale::from_env();
@@ -25,11 +27,12 @@ fn main() {
         cfg.n_bodies, n
     );
 
-    let orig = run_barnes(SeqMode::MasterOnly, n, cfg.clone());
+    let bh = |mode| run(ClusterConfig::paper(n), mode, |rt| BarnesHut::setup(rt, cfg.clone()));
+    let orig = bh(SeqMode::MasterOnly);
     println!("  original run done");
-    let bc = run_barnes(SeqMode::MasterOnlyBroadcast, n, cfg.clone());
+    let bc = bh(SeqMode::MasterOnlyBroadcast);
     println!("  broadcast run done");
-    let opt = run_barnes(SeqMode::Replicated, n, cfg);
+    let opt = bh(SeqMode::Replicated);
     println!("  optimized run done");
 
     assert_eq!(orig.result, bc.result, "broadcast must not change the physics");

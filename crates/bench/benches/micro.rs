@@ -1,148 +1,76 @@
-//! Criterion micro-benchmarks of the protocol primitives: diff creation
-//! and application, vector-clock operations, octree construction and force
-//! evaluation, and end-to-end simulated runs of the contention kernel.
-//! These measure *host* performance of the simulator itself (not virtual
-//! time) — useful when hacking on the protocol hot paths.
+//! Host-time micro-benchmarks of the primitives no `BENCH_*.json`
+//! artifact records: vector-clock operations, octree construction and
+//! force evaluation, and end-to-end simulated runs of the contention
+//! kernel. (`bench_json` owns the diff-engine and MMU cases.) These
+//! measure the simulator itself, not virtual time — useful when hacking
+//! on the protocol hot paths.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use repseq_apps::barnes_hut::plummer::plummer_model;
 use repseq_apps::barnes_hut::tree::{force_on, Octree};
-use repseq_dsm::{Diff, Vc};
+use repseq_apps::kernels::{ContentionKernel, KernelConfig};
+use repseq_bench::{bench_ns, run, SAMPLES};
+use repseq_core::SeqMode;
+use repseq_dsm::{ClusterConfig, Vc};
 
-fn bench_diff(c: &mut Criterion) {
-    let page_size = 4096;
-    let twin = vec![0u8; page_size];
-    // Sparse: isolated dirty bytes, the Barnes-Hut body-update shape.
-    let mut sparse = twin.clone();
-    for i in (0..page_size).step_by(97) {
-        sparse[i] = 1;
-    }
-    // Dense: every byte modified, the Ilink genarray-rewrite shape.
-    let mut dense = twin.clone();
-    for (i, b) in dense.iter_mut().enumerate() {
-        *b = (i % 251) as u8 + 1;
-    }
-    // The chunked hot path vs the byte-loop baseline it replaced.
-    c.bench_function("diff_create_sparse_page", |b| {
-        b.iter(|| Diff::create(black_box(&twin), black_box(&sparse)))
-    });
-    c.bench_function("diff_create_sparse_page_scalar", |b| {
-        b.iter(|| Diff::create_scalar(black_box(&twin), black_box(&sparse)))
-    });
-    c.bench_function("diff_create_dense_page", |b| {
-        b.iter(|| Diff::create(black_box(&twin), black_box(&dense)))
-    });
-    c.bench_function("diff_create_dense_page_scalar", |b| {
-        b.iter(|| Diff::create_scalar(black_box(&twin), black_box(&dense)))
-    });
-    // The whole-page == fast path (unchanged twinned page).
-    let clean = twin.clone();
-    c.bench_function("diff_create_clean_page", |b| {
-        b.iter(|| Diff::create(black_box(&twin), black_box(&clean)))
-    });
-    let diff = Diff::create(&twin, &dense);
-    c.bench_function("diff_apply_dense_page", |b| {
-        b.iter_batched(
-            || twin.clone(),
-            |mut page| diff.apply(black_box(&mut page)),
-            BatchSize::SmallInput,
-        )
-    });
-    // Fused multi-diff apply (one pass per page) vs one sequential pass
-    // per diff: a chain of 8 dense page versions, as a fault after 8
-    // missed intervals of an iterative application would fetch.
-    let mut chain = Vec::new();
-    let mut cur = twin.clone();
-    for k in 0..8u8 {
-        let mut next = cur.clone();
-        for b in &mut next {
-            *b = b.wrapping_add(2 * k + 1);
-        }
-        chain.push(Diff::create(&cur, &next));
-        cur = next;
-    }
-    c.bench_function("diff_apply_fused_8", |b| {
-        b.iter_batched(
-            || twin.clone(),
-            |mut page| Diff::apply_fused(black_box(&chain), &mut page),
-            BatchSize::SmallInput,
-        )
-    });
-    c.bench_function("diff_apply_sequential_8", |b| {
-        b.iter_batched(
-            || twin.clone(),
-            |mut page| {
-                for d in black_box(&chain) {
-                    d.apply(&mut page).unwrap();
-                }
-            },
-            BatchSize::SmallInput,
-        )
-    });
+fn report(name: &str, ns: f64) {
+    println!("{name:<24} {ns:>14.1} ns");
 }
 
-fn bench_vc(c: &mut Criterion) {
+fn main() {
+    println!("median host ns per call ({SAMPLES} samples each)");
+
     let mut a = Vc::zero(32);
-    let mut bb = Vc::zero(32);
+    let mut b = Vc::zero(32);
     for i in 0..32 {
         a.set(i, (i * 7) as u32);
-        bb.set(i, (i * 5 + 3) as u32);
+        b.set(i, (i * 5 + 3) as u32);
     }
-    c.bench_function("vc_merge_32", |b| {
-        b.iter_batched(
-            || a.clone(),
-            |mut x| {
-                x.merge(black_box(&bb));
-                x
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    c.bench_function("vc_dominated_by_32", |b| {
-        b.iter(|| black_box(&a).dominated_by(black_box(&bb)))
-    });
-}
+    report(
+        "vc_merge_32",
+        bench_ns(|| {
+            // Includes the clone the merge needs a fresh target for.
+            let mut x = a.clone();
+            x.merge(black_box(&b));
+            black_box(x);
+        }),
+    );
+    report(
+        "vc_dominated_by_32",
+        bench_ns(|| {
+            black_box(black_box(&a).dominated_by(black_box(&b)));
+        }),
+    );
 
-fn bench_tree(c: &mut Criterion) {
     let bodies = plummer_model(4096, 7);
     let pos: Vec<[f64; 3]> = bodies.iter().map(|b| b.pos).collect();
     let mass: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
-    c.bench_function("octree_build_4096", |b| {
-        b.iter(|| Octree::build(black_box(&pos), black_box(&mass)))
-    });
+    report(
+        "octree_build_4096",
+        bench_ns(|| {
+            black_box(Octree::build(black_box(&pos), black_box(&mass)));
+        }),
+    );
     let t = Octree::build(&pos, &mass);
-    c.bench_function("octree_force_4096", |b| {
-        b.iter(|| force_on(black_box(&t.cells), t.n_bodies, &pos, &mass, 17, 1.0, 0.0025))
-    });
-}
+    report(
+        "octree_force_4096",
+        bench_ns(|| {
+            black_box(force_on(black_box(&t.cells), t.n_bodies, &pos, &mass, 17, 1.0, 0.0025));
+        }),
+    );
 
-fn bench_kernel_sim(c: &mut Criterion) {
-    use repseq_apps::kernels::{ContentionKernel, KernelConfig};
-    use repseq_core::{RunConfig, Runtime, SeqMode};
-    let mut group = c.benchmark_group("simulated_runs");
-    group.sample_size(10);
-    for (label, mode) in
+    for (name, mode) in
         [("kernel_original_8n", SeqMode::MasterOnly), ("kernel_replicated_8n", SeqMode::Replicated)]
     {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut rt = Runtime::new(RunConfig {
-                    cluster: repseq_dsm::ClusterConfig::paper(8),
-                    seq_mode: mode,
+        report(
+            name,
+            bench_ns(|| {
+                let out = run(ClusterConfig::paper(8), mode, |rt| {
+                    ContentionKernel::setup(rt, KernelConfig::default())
                 });
-                let k = ContentionKernel::setup(&mut rt, KernelConfig::default());
-                rt.run(move |team| {
-                    black_box(k.run(team)?);
-                    Ok(())
-                })
-                .unwrap()
-            })
-        });
+                black_box(out.result);
+            }),
+        );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_diff, bench_vc, bench_tree, bench_kernel_sim);
-criterion_main!(benches);

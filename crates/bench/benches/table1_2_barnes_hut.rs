@@ -6,8 +6,10 @@
 //! preserves the shapes at 8192 bodies. `REPSEQ_NODES` overrides the node
 //! count (paper: 32).
 
+use repseq_apps::barnes_hut::BarnesHut;
 use repseq_bench::*;
 use repseq_core::SeqMode;
+use repseq_dsm::ClusterConfig;
 
 fn main() {
     let scale = Scale::from_env();
@@ -19,11 +21,12 @@ fn main() {
         cfg.n_bodies, cfg.timesteps, n
     );
 
-    let seq = run_barnes(SeqMode::MasterOnly, 1, cfg.clone());
+    let bh = |n, mode| run(ClusterConfig::paper(n), mode, |rt| BarnesHut::setup(rt, cfg.clone()));
+    let seq = bh(1, SeqMode::MasterOnly);
     println!("  sequential run done: {} interactions", seq.result.interactions);
-    let orig = run_barnes(SeqMode::MasterOnly, n, cfg.clone());
+    let orig = bh(n, SeqMode::MasterOnly);
     println!("  original run done");
-    let opt = run_barnes(SeqMode::Replicated, n, cfg);
+    let opt = bh(n, SeqMode::Replicated);
     println!("  optimized run done");
 
     assert_eq!(seq.result, orig.result, "systems must agree on the physics");

@@ -16,9 +16,8 @@
 //!
 //! `REPSEQ_BENCH_SCALE=tiny|default` and `REPSEQ_BENCH_NODES=<n>` size the
 //! table run (defaults: tiny, 32 — the paper's cluster size; CI's
-//! bench-smoke job overrides nodes down for speed). Timing is hand-rolled
-//! (`std::time::Instant`, median of 15 samples) because binaries cannot
-//! see dev-dependencies like the criterion harness.
+//! bench-smoke job overrides nodes down for speed). Host timings are
+//! medians of 15 samples from `repseq_bench::bench_ns`.
 //!
 //! The harness gates, not just records: it asserts the twin pool absorbs
 //! ≥90% of twin allocations, that the guard path is ≥5x and the TLB hit
@@ -27,24 +26,21 @@
 //! with the TLB on and off), and that every repeat of the host-execution
 //! trajectory reproduces the first run's fingerprint exactly.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::Instant;
 
-use parking_lot::Mutex;
-use repseq_apps::barnes_hut::{BhConfig, BhResult};
-use repseq_apps::kv::KvResult;
+use repseq_apps::barnes_hut::{BarnesHut, BhConfig, BhResult};
+use repseq_apps::kv::{KvConfig, KvResult, KvStore};
 use repseq_bench::{
-    bh_config, commit_id, host_cpus, run_barnes, run_barnes_report, run_kv, RunOutcome, Scale,
+    bench_ns, bh_config, host_cpus, nodes_list_env, run, write_artifact, Json, RunOutcome, Scale,
+    SAMPLES,
 };
-use repseq_core::SeqMode;
-use repseq_dsm::{Cluster, ClusterConfig, Diff, DsmNode, ShArray};
-use repseq_sim::Stopped;
-use repseq_stats::{host, Stats};
+use repseq_core::{RunConfig, Runtime, SeqMode};
+use repseq_dsm::{ClusterConfig, Diff, ShArray};
+use repseq_stats::host;
 
 const PAGE: usize = 4096;
-const SAMPLES: usize = 15;
 
 /// Schema of the BENCH_*.json artifacts this harness writes (except
 /// `BENCH_host.json`, see [`HOST_SCHEMA_VERSION`]). Bump when a field
@@ -79,38 +75,12 @@ fn sweep_points<I: Sync, T: Send>(
                     break;
                 }
                 let v = f(&items[i]);
-                slots.lock()[i] = Some(v);
+                slots.lock().unwrap()[i] = Some(v);
             });
         }
     });
-    let mut filled = slots.lock();
-    (0..items.len()).map(|i| filled[i].take().expect("sweep point completed")).collect()
-}
-
-/// Median ns/iteration of `f`, auto-calibrated so each sample runs ≥2 ms.
-fn bench_ns(mut f: impl FnMut()) -> f64 {
-    let mut iters = 1u64;
-    loop {
-        let t = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        if t.elapsed().as_nanos() >= 2_000_000 {
-            break;
-        }
-        iters *= 2;
-    }
-    let mut samples: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            t.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[SAMPLES / 2]
+    let filled = slots.into_inner().unwrap();
+    filled.into_iter().map(|v| v.expect("sweep point completed")).collect()
 }
 
 struct Case {
@@ -206,32 +176,31 @@ fn scattered_chain(twin: &[u8]) -> Vec<Diff> {
     chain
 }
 
-fn write_bench_diff(cases: &[Case], commit: &str) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"diff_engine\",\n");
-    let _ = writeln!(s, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(s, "  \"commit\": \"{commit}\",");
-    let _ = writeln!(s, "  \"host_cpus\": {},", host_cpus());
-    let _ = writeln!(s, "  \"page_size\": {PAGE},");
-    s.push_str("  \"unit\": \"ns_per_op_median\",\n");
-    s.push_str(
-        "  \"note\": \"baseline = byte-loop create (or sequential multi-apply); chunked = u64-chunked create (or fused apply)\",\n",
-    );
-    s.push_str("  \"cases\": [\n");
-    for (i, c) in cases.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"name\": \"{}\", \"baseline_ns\": {:.1}, \"chunked_ns\": {:.1}, \"speedup\": {:.2}}}{}",
-            c.name,
-            c.baseline_ns,
-            c.chunked_ns,
-            c.baseline_ns / c.chunked_ns,
-            if i + 1 < cases.len() { "," } else { "" },
-        );
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write("BENCH_diff.json", s)
+fn write_bench_diff(cases: &[Case]) -> std::io::Result<()> {
+    let rows = cases.iter().map(|c| {
+        Json::obj([
+            ("name", c.name.into()),
+            ("baseline_ns", Json::fixed(c.baseline_ns, 1)),
+            ("chunked_ns", Json::fixed(c.chunked_ns, 1)),
+            ("speedup", Json::fixed(c.baseline_ns / c.chunked_ns, 2)),
+        ])
+    });
+    write_artifact(
+        "BENCH_diff.json",
+        "diff_engine",
+        SCHEMA_VERSION,
+        [
+            ("page_size", PAGE.into()),
+            ("unit", "ns_per_op_median".into()),
+            (
+                "note",
+                "baseline = byte-loop create (or sequential multi-apply); chunked = u64-chunked \
+                 create (or fused apply)"
+                    .into(),
+            ),
+            ("cases", Json::Arr(rows.collect())),
+        ],
+    )
 }
 
 // ---------------------------------------------------------------
@@ -251,228 +220,123 @@ struct MmuNumbers {
 /// Measure element and guard access on a warm 16-page array. `tlb` off
 /// gives the locked page-walk baseline; on gives the TLB-hit path.
 fn mmu_case(tlb: bool) -> MmuNumbers {
-    let stats = Stats::new(1);
-    let mut ccfg = ClusterConfig::paper(1);
-    ccfg.dsm.tlb_enabled = tlb;
-    let mut cl = Cluster::new(ccfg, stats);
+    let mut cluster = ClusterConfig::paper(1);
+    cluster.dsm.tlb_enabled = tlb;
+    let mut rt = Runtime::new(RunConfig { cluster, seq_mode: SeqMode::MasterOnly });
     let len = 16 * PAGE / 8;
-    let arr: ShArray<u64> = cl.alloc_array_page_aligned(len);
-    let out = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    let app = move |node: DsmNode| -> Result<(), Stopped> {
-        // Warm every page: one write fault each, pages stay writable.
-        arr.with_slices_mut(&node, 0..len, |run| {
-            for j in 0..run.len() {
-                run.set(j, j as u64);
-            }
-            Ok(())
-        })?;
-        let mut i = 0usize;
-        let elem_read_ns = bench_ns(|| {
-            i = (i + 129) % len;
-            std::hint::black_box(arr.get(&node, i).unwrap());
-        });
-        let mut i = 0usize;
-        let elem_write_ns = bench_ns(|| {
-            i = (i + 129) % len;
-            arr.set(&node, i, i as u64 ^ 0x5A).unwrap();
-        });
-        let guard_read_ns = bench_ns(|| {
-            let mut s = 0u64;
-            arr.with_slices(&node, 0..len, |run| {
+    let arr: ShArray<u64> = rt.alloc_array_page_aligned(len);
+    let (nums, _) = rt
+        .run_app(move |team| {
+            let node = team.node();
+            // Warm every page: one write fault each, pages stay writable.
+            arr.with_slices_mut(node, 0..len, |run| {
                 for j in 0..run.len() {
-                    s = s.wrapping_add(run.get(j));
+                    run.set(j, j as u64);
                 }
                 Ok(())
-            })
-            .unwrap();
-            std::hint::black_box(s);
-        }) / len as f64;
-        let guard_write_ns = bench_ns(|| {
-            arr.with_slices_mut(&node, 0..len, |run| {
-                for j in 0..run.len() {
-                    run.set(j, j as u64 ^ 0xA5);
-                }
-                Ok(())
-            })
-            .unwrap();
-        }) / len as f64;
-        *out2.lock() =
-            Some(MmuNumbers { elem_read_ns, elem_write_ns, guard_read_ns, guard_write_ns });
-        Ok(())
-    };
-    #[allow(clippy::type_complexity)]
-    let apps: Vec<Box<dyn FnOnce(DsmNode) -> Result<(), Stopped> + Send>> = vec![Box::new(app)];
-    cl.launch(apps).expect("mmu bench run failed");
-    let nums = out.lock().take().expect("mmu bench produced no numbers");
+            })?;
+            let mut i = 0usize;
+            let elem_read_ns = bench_ns(|| {
+                i = (i + 129) % len;
+                std::hint::black_box(arr.get(node, i).unwrap());
+            });
+            let mut i = 0usize;
+            let elem_write_ns = bench_ns(|| {
+                i = (i + 129) % len;
+                arr.set(node, i, i as u64 ^ 0x5A).unwrap();
+            });
+            let guard_read_ns = bench_ns(|| {
+                let mut s = 0u64;
+                arr.with_slices(node, 0..len, |run| {
+                    for j in 0..run.len() {
+                        s = s.wrapping_add(run.get(j));
+                    }
+                    Ok(())
+                })
+                .unwrap();
+                std::hint::black_box(s);
+            }) / len as f64;
+            let guard_write_ns = bench_ns(|| {
+                arr.with_slices_mut(node, 0..len, |run| {
+                    for j in 0..run.len() {
+                        run.set(j, j as u64 ^ 0xA5);
+                    }
+                    Ok(())
+                })
+                .unwrap();
+            }) / len as f64;
+            Ok(MmuNumbers { elem_read_ns, elem_write_ns, guard_read_ns, guard_write_ns })
+        })
+        .expect("mmu bench run failed");
     nums
 }
 
-fn write_bench_mmu(off: &MmuNumbers, on: &MmuNumbers, commit: &str) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"software_mmu\",\n");
-    let _ = writeln!(s, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(s, "  \"commit\": \"{commit}\",");
-    let _ = writeln!(s, "  \"host_cpus\": {},", host_cpus());
-    let _ = writeln!(s, "  \"page_size\": {PAGE},");
-    s.push_str("  \"unit\": \"ns_per_access_median\",\n");
-    s.push_str(
-        "  \"note\": \"warm 16-page u64 array on a 1-node cluster; locked_baseline = TLB disabled (mutex + page walk per access); tlb_hit = per-element fast path; guard = with_slices bulk path, amortized per element\",\n",
-    );
-    let _ = writeln!(
-        s,
-        "  \"locked_baseline\": {{\"read_ns\": {:.1}, \"write_ns\": {:.1}}},",
-        off.elem_read_ns, off.elem_write_ns
-    );
-    let _ = writeln!(
-        s,
-        "  \"tlb_hit\": {{\"read_ns\": {:.1}, \"write_ns\": {:.1}}},",
-        on.elem_read_ns, on.elem_write_ns
-    );
-    let _ = writeln!(
-        s,
-        "  \"guard\": {{\"read_ns\": {:.2}, \"write_ns\": {:.2}}},",
-        on.guard_read_ns, on.guard_write_ns
-    );
-    let _ = writeln!(s, "  \"speedup_tlb_read\": {:.2},", off.elem_read_ns / on.elem_read_ns);
-    let _ = writeln!(s, "  \"speedup_tlb_write\": {:.2},", off.elem_write_ns / on.elem_write_ns);
-    let _ = writeln!(s, "  \"speedup_guard_read\": {:.2},", off.elem_read_ns / on.guard_read_ns);
-    let _ = writeln!(s, "  \"speedup_guard_write\": {:.2}", off.elem_write_ns / on.guard_write_ns);
-    s.push_str("}\n");
-    std::fs::write("BENCH_mmu.json", s)
+fn write_bench_mmu(off: &MmuNumbers, on: &MmuNumbers) -> std::io::Result<()> {
+    let pair = |read: f64, write: f64, decimals: usize| {
+        Json::obj([
+            ("read_ns", Json::fixed(read, decimals)),
+            ("write_ns", Json::fixed(write, decimals)),
+        ])
+    };
+    write_artifact(
+        "BENCH_mmu.json",
+        "software_mmu",
+        SCHEMA_VERSION,
+        [
+            ("page_size", PAGE.into()),
+            ("unit", "ns_per_access_median".into()),
+            (
+                "note",
+                "warm 16-page u64 array on a 1-node cluster; locked_baseline = TLB disabled \
+                 (mutex + page walk per access); tlb_hit = per-element fast path; guard = \
+                 with_slices bulk path, amortized per element"
+                    .into(),
+            ),
+            ("locked_baseline", pair(off.elem_read_ns, off.elem_write_ns, 1)),
+            ("tlb_hit", pair(on.elem_read_ns, on.elem_write_ns, 1)),
+            ("guard", pair(on.guard_read_ns, on.guard_write_ns, 2)),
+            ("speedup_tlb_read", Json::fixed(off.elem_read_ns / on.elem_read_ns, 2)),
+            ("speedup_tlb_write", Json::fixed(off.elem_write_ns / on.elem_write_ns, 2)),
+            ("speedup_guard_read", Json::fixed(off.elem_read_ns / on.guard_read_ns, 2)),
+            ("speedup_guard_write", Json::fixed(off.elem_write_ns / on.guard_write_ns, 2)),
+        ],
+    )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_bench_table1(
-    scale: Scale,
-    n: usize,
-    seq: &RunOutcome<BhResult>,
-    orig: &RunOutcome<BhResult>,
-    opt: &RunOutcome<BhResult>,
-    host: &host::HostCounters,
-    host_wall_s: f64,
-    commit: &str,
-) -> std::io::Result<()> {
-    let t = |o: &RunOutcome<BhResult>| o.snap.total_time.as_secs_f64();
-    let hit_rate = |hits: u64, misses: u64| {
-        let total = hits + misses;
-        if total == 0 {
-            1.0
-        } else {
-            hits as f64 / total as f64
-        }
-    };
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"table1_barnes_hut\",\n");
-    let _ = writeln!(s, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(s, "  \"commit\": \"{commit}\",");
-    let _ = writeln!(s, "  \"host_cpus\": {},", host_cpus());
-    let _ = writeln!(s, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(s, "  \"nodes\": {n},");
-    let _ = writeln!(s, "  \"host_wall_s\": {host_wall_s:.3},");
-    s.push_str("  \"simulated\": {\n");
-    let _ = writeln!(s, "    \"sequential_time_s\": {:.6},", t(seq));
-    let _ = writeln!(s, "    \"original_time_s\": {:.6},", t(orig));
-    let _ = writeln!(s, "    \"optimized_time_s\": {:.6},", t(opt));
-    let _ = writeln!(s, "    \"original_speedup\": {:.3},", t(seq) / t(orig));
-    let _ = writeln!(s, "    \"optimized_speedup\": {:.3}", t(seq) / t(opt));
-    s.push_str("  },\n");
-    s.push_str("  \"tlb_invariance\": \"verified: identical virtual time, messages and bytes with the TLB on and off\",\n");
-    s.push_str("  \"host_data_plane\": {\n");
-    let _ = writeln!(s, "    \"diff_create_calls\": {},", host.diff_create_calls);
-    let _ = writeln!(s, "    \"diff_create_ns\": {},", host.diff_create_ns);
-    let _ = writeln!(s, "    \"diff_create_bytes_scanned\": {},", host.diff_create_bytes);
-    let _ = writeln!(s, "    \"diff_apply_calls\": {},", host.diff_apply_calls);
-    let _ = writeln!(s, "    \"diff_apply_ns\": {},", host.diff_apply_ns);
-    let _ = writeln!(s, "    \"diff_apply_bytes_copied\": {},", host.diff_apply_bytes);
-    let _ = writeln!(s, "    \"twin_pool_hits\": {},", host.twin_pool_hits);
-    let _ = writeln!(s, "    \"twin_pool_misses\": {},", host.twin_pool_misses);
-    let _ = writeln!(
-        s,
-        "    \"twin_pool_hit_rate\": {:.4},",
-        hit_rate(host.twin_pool_hits, host.twin_pool_misses)
-    );
-    let _ = writeln!(s, "    \"scratch_pool_hits\": {},", host.scratch_pool_hits);
-    let _ = writeln!(s, "    \"scratch_pool_misses\": {},", host.scratch_pool_misses);
-    let _ = writeln!(
-        s,
-        "    \"scratch_pool_hit_rate\": {:.4},",
-        hit_rate(host.scratch_pool_hits, host.scratch_pool_misses)
-    );
-    let _ = writeln!(s, "    \"tlb_hits\": {},", host.tlb_hits);
-    let _ = writeln!(s, "    \"tlb_misses\": {},", host.tlb_misses);
-    let _ = writeln!(s, "    \"tlb_hit_rate\": {:.4}", hit_rate(host.tlb_hits, host.tlb_misses));
-    s.push_str("  }\n}\n");
-    std::fs::write("BENCH_table1.json", s)
+/// Simulated seconds of a run.
+fn secs<R>(o: &RunOutcome<R>) -> f64 {
+    o.snap.total_time.as_secs_f64()
 }
 
-/// The three-way sequential-section strategy comparison (§2, §6.1.2):
-/// master-only, master-plus-broadcast (MasterPush) and replicated (RSE) on
-/// the same contended Barnes-Hut run. MasterPush removes the demand-fetch
-/// request storm but still serializes the whole tree through the master's
-/// transmit link, so RSE must stay ahead of it once the tree is big enough
-/// to be worth contending over — the run is pinned at 8192 bodies and at
-/// least 16 nodes regardless of the (smoke-sized) table-run scale.
-#[allow(clippy::too_many_arguments)]
-fn write_bench_modes(
-    n: usize,
-    bodies: usize,
-    orig: &RunOutcome<BhResult>,
-    push: &RunOutcome<BhResult>,
-    opt: &RunOutcome<BhResult>,
-    host: &host::HostCounters,
-    host_wall_s: f64,
-    commit: &str,
-) -> std::io::Result<()> {
-    let t = |o: &RunOutcome<BhResult>| o.snap.total_time.as_secs_f64();
+/// The `host_data_plane` block: the host data-plane counters over a span
+/// of runs, with the pool and TLB hit rates.
+fn data_plane(host: &host::HostCounters) -> Json {
     let hit_rate = |hits: u64, misses: u64| {
         let total = hits + misses;
-        if total == 0 {
-            1.0
-        } else {
-            hits as f64 / total as f64
-        }
+        Json::fixed(if total == 0 { 1.0 } else { hits as f64 / total as f64 }, 4)
     };
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"seq_exec_modes_barnes_hut\",\n");
-    let _ = writeln!(s, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(s, "  \"commit\": \"{commit}\",");
-    let _ = writeln!(s, "  \"host_cpus\": {},", host_cpus());
-    let _ = writeln!(s, "  \"bodies\": {bodies},");
-    let _ = writeln!(s, "  \"nodes\": {n},");
-    let _ = writeln!(s, "  \"host_wall_s\": {host_wall_s:.3},");
-    s.push_str(
-        "  \"note\": \"same workload and cluster for all three strategies; times are simulated seconds. master_push broadcasts the section's written pages over the master's link (contention moves from request storm to transmit serialization); rse replicates the section so no page of it ever crosses the wire\",\n",
-    );
-    s.push_str("  \"simulated\": {\n");
-    let _ = writeln!(s, "    \"master_only_time_s\": {:.6},", t(orig));
-    let _ = writeln!(s, "    \"master_push_time_s\": {:.6},", t(push));
-    let _ = writeln!(s, "    \"rse_time_s\": {:.6},", t(opt));
-    let _ = writeln!(s, "    \"push_vs_master_only\": {:.3},", t(orig) / t(push));
-    let _ = writeln!(s, "    \"rse_vs_master_only\": {:.3},", t(orig) / t(opt));
-    let _ = writeln!(s, "    \"rse_vs_push\": {:.3}", t(push) / t(opt));
-    s.push_str("  },\n");
-    s.push_str("  \"host_data_plane\": {\n");
-    let _ = writeln!(s, "    \"diff_create_calls\": {},", host.diff_create_calls);
-    let _ = writeln!(s, "    \"diff_create_ns\": {},", host.diff_create_ns);
-    let _ = writeln!(s, "    \"diff_apply_calls\": {},", host.diff_apply_calls);
-    let _ = writeln!(s, "    \"diff_apply_ns\": {},", host.diff_apply_ns);
-    let _ = writeln!(
-        s,
-        "    \"twin_pool_hit_rate\": {:.4},",
-        hit_rate(host.twin_pool_hits, host.twin_pool_misses)
-    );
-    let _ = writeln!(
-        s,
-        "    \"scratch_pool_hit_rate\": {:.4},",
-        hit_rate(host.scratch_pool_hits, host.scratch_pool_misses)
-    );
-    let _ = writeln!(s, "    \"tlb_hit_rate\": {:.4}", hit_rate(host.tlb_hits, host.tlb_misses));
-    s.push_str("  }\n}\n");
-    std::fs::write("BENCH_modes.json", s)
+    Json::obj([
+        ("diff_create_calls", host.diff_create_calls.into()),
+        ("diff_create_ns", host.diff_create_ns.into()),
+        ("diff_create_bytes_scanned", host.diff_create_bytes.into()),
+        ("diff_apply_calls", host.diff_apply_calls.into()),
+        ("diff_apply_ns", host.diff_apply_ns.into()),
+        ("diff_apply_bytes_copied", host.diff_apply_bytes.into()),
+        ("twin_pool_hits", host.twin_pool_hits.into()),
+        ("twin_pool_misses", host.twin_pool_misses.into()),
+        ("twin_pool_hit_rate", hit_rate(host.twin_pool_hits, host.twin_pool_misses)),
+        ("scratch_pool_hits", host.scratch_pool_hits.into()),
+        ("scratch_pool_misses", host.scratch_pool_misses.into()),
+        ("scratch_pool_hit_rate", hit_rate(host.scratch_pool_hits, host.scratch_pool_misses)),
+        ("tlb_hits", host.tlb_hits.into()),
+        ("tlb_misses", host.tlb_misses.into()),
+        ("tlb_hit_rate", hit_rate(host.tlb_hits, host.tlb_misses)),
+    ])
+}
+
+/// Run Barnes-Hut under `mode` on `cluster`.
+fn barnes(cluster: ClusterConfig, mode: SeqMode, cfg: &BhConfig) -> RunOutcome<BhResult> {
+    run(cluster, mode, |rt| BarnesHut::setup(rt, cfg.clone()))
 }
 
 // ---------------------------------------------------------------
@@ -495,49 +359,48 @@ struct KvPoint {
 /// are open-loop (queueing delay included) over *virtual* time, so the
 /// tails measure protocol contention, not host scheduling. The
 /// fingerprint gate has already run by the time this is written.
-fn write_bench_kv(points: &[KvPoint], commit: &str) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"kv_serving_zipfian\",\n");
-    let _ = writeln!(s, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(s, "  \"commit\": \"{commit}\",");
-    let _ = writeln!(s, "  \"host_cpus\": {},", host_cpus());
-    s.push_str(
-        "  \"note\": \"open-loop zipfian KV serving: reads fan out cyclically across nodes, writes run as per-shard named sequential sections. latencies are virtual nanoseconds from request arrival to completion (queueing included); identical request traces and final-table fingerprints across strategies are asserted before this file is written\",\n",
-    );
-    s.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let one = |tag: &str, o: &RunOutcome<KvResult>| {
-            let mut t = String::new();
-            let _ = writeln!(t, "      \"{tag}\": {{");
-            let _ = writeln!(t, "        \"throughput_rps\": {:.1},", o.result.throughput_rps);
-            let _ = writeln!(t, "        \"p50_ns\": {},", o.result.p50_ns);
-            let _ = writeln!(t, "        \"p99_ns\": {},", o.result.p99_ns);
-            let _ = writeln!(t, "        \"p999_ns\": {},", o.result.p999_ns);
-            let _ = writeln!(t, "        \"time_s\": {:.6}", o.result.total.as_secs_f64());
-            t.push_str("      }");
-            t
-        };
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"nodes\": {},", p.nodes);
-        let _ = writeln!(s, "      \"zipf_theta\": {},", p.theta);
-        let _ = writeln!(s, "      \"requests\": {},", p.n_requests);
-        let _ = writeln!(s, "      \"fingerprint\": \"{:#018x}\",", p.orig.result.fingerprint);
-        s.push_str(&one("master_only", &p.orig));
-        s.push_str(",\n");
-        s.push_str(&one("master_push", &p.push));
-        s.push_str(",\n");
-        s.push_str(&one("rse", &p.rse));
-        s.push_str(",\n");
-        let _ = writeln!(
-            s,
-            "      \"rse_vs_master_only_throughput\": {:.3}",
-            p.rse.result.throughput_rps / p.orig.result.throughput_rps
-        );
-        s.push_str(if i + 1 == points.len() { "    }\n" } else { "    },\n" });
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write("BENCH_kv.json", s)
+fn write_bench_kv(points: &[KvPoint]) -> std::io::Result<()> {
+    let serving = |o: &RunOutcome<KvResult>| {
+        Json::obj([
+            ("throughput_rps", Json::fixed(o.result.throughput_rps, 1)),
+            ("p50_ns", o.result.p50_ns.into()),
+            ("p99_ns", o.result.p99_ns.into()),
+            ("p999_ns", o.result.p999_ns.into()),
+            ("time_s", Json::fixed(o.result.total.as_secs_f64(), 6)),
+        ])
+    };
+    let rows = points.iter().map(|p| {
+        Json::obj([
+            ("nodes", p.nodes.into()),
+            ("zipf_theta", p.theta.into()),
+            ("requests", p.n_requests.into()),
+            ("fingerprint", format!("{:#018x}", p.orig.result.fingerprint).into()),
+            ("master_only", serving(&p.orig)),
+            ("master_push", serving(&p.push)),
+            ("rse", serving(&p.rse)),
+            (
+                "rse_vs_master_only_throughput",
+                Json::fixed(p.rse.result.throughput_rps / p.orig.result.throughput_rps, 3),
+            ),
+        ])
+    });
+    write_artifact(
+        "BENCH_kv.json",
+        "kv_serving_zipfian",
+        SCHEMA_VERSION,
+        [
+            (
+                "note",
+                "open-loop zipfian KV serving: reads fan out cyclically across nodes, writes run \
+                 as per-shard named sequential sections. latencies are virtual nanoseconds from \
+                 request arrival to completion (queueing included); identical request traces and \
+                 final-table fingerprints across strategies are asserted before this file is \
+                 written"
+                    .into(),
+            ),
+            ("points", Json::Arr(rows.collect())),
+        ],
+    )
 }
 
 // ---------------------------------------------------------------
@@ -563,8 +426,9 @@ struct HostRun {
 /// Returns the run, its kernel report and a determinism fingerprint.
 fn host_run(n: usize, cfg: &BhConfig) -> (HostRun, repseq_sim::SimReport, String) {
     let wall = Instant::now();
-    let (out, report) = run_barnes_report(SeqMode::Replicated, n, cfg.clone(), true);
+    let out = barnes(ClusterConfig::paper(n), SeqMode::Replicated, cfg);
     let wall_s = wall.elapsed().as_secs_f64();
+    let report = out.report;
     // Everything determinism-relevant, in one comparable string: the
     // virtual end state of the kernel, the physics, and the wire totals.
     let agg = out.snap.total_agg_with_startup();
@@ -604,63 +468,128 @@ fn measure_host_case(hn: usize, cfg: &BhConfig) -> HostCase {
     HostCase { nodes: hn, events: report.events_processed, exec: report.exec, samples }
 }
 
-/// `{"samples": [...], "median": m, "min": lo, "max": hi}` of `values`.
-fn spread_json(values: &[f64], decimals: usize) -> String {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let fmt = |v: f64| format!("{v:.decimals$}");
-    format!(
-        "{{\"samples\": [{}], \"median\": {}, \"min\": {}, \"max\": {}}}",
-        values.iter().map(|&v| fmt(v)).collect::<Vec<_>>().join(", "),
-        fmt(sorted[sorted.len() / 2]),
-        fmt(sorted[0]),
-        fmt(sorted[sorted.len() - 1])
+fn write_bench_host(scale: Scale, bodies: usize, cases: &[HostCase]) -> std::io::Result<()> {
+    let rows = cases.iter().map(|c| {
+        let walls: Vec<f64> = c.samples.iter().map(|r| r.wall_s).collect();
+        let rates: Vec<f64> = c.samples.iter().map(|r| r.events_per_sec).collect();
+        Json::obj([
+            ("nodes", c.nodes.into()),
+            ("events", c.events.into()),
+            ("host_wall_s", Json::spread(&walls, 3)),
+            ("events_per_sec", Json::spread(&rates, 0)),
+            ("handoff_switches", c.exec.handoff_switches.into()),
+            ("self_continues", c.exec.self_continues.into()),
+            ("inline_events", c.exec.inline_events.into()),
+            ("sprint_pops", c.exec.sprint_pops.into()),
+            ("peak_pending", c.exec.peak_pending.into()),
+            ("stale_wakes", c.exec.stale_wakes.into()),
+        ])
+    });
+    write_artifact(
+        "BENCH_host.json",
+        "host_execution",
+        HOST_SCHEMA_VERSION,
+        [
+            ("scale", format!("{scale:?}").into()),
+            ("bodies", bodies.into()),
+            ("samples", HOST_SAMPLES.into()),
+            (
+                "note",
+                "Barnes-Hut (RSE) per cluster size on the coroutine DES engine (one host \
+                 thread); every repeat verified to reproduce the first run's fingerprint \
+                 (virtual end state, physics, wire totals) and engine counters. events_per_sec = \
+                 kernel events / host wall seconds"
+                    .into(),
+            ),
+            ("clusters", Json::Arr(rows.collect())),
+        ],
     )
 }
 
-fn write_bench_host(
+/// The Table-1-shaped run: simulated times of the Sequential, Original
+/// and Optimized systems, plus the host data plane over all three.
+fn write_bench_table1(
     scale: Scale,
-    bodies: usize,
-    cases: &[HostCase],
-    commit: &str,
+    n: usize,
+    [seq, orig, opt]: [&RunOutcome<BhResult>; 3],
+    host: &host::HostCounters,
+    host_wall_s: f64,
 ) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"host_execution\",\n");
-    let _ = writeln!(s, "  \"schema_version\": {HOST_SCHEMA_VERSION},");
-    let _ = writeln!(s, "  \"commit\": \"{commit}\",");
-    let _ = writeln!(s, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(s, "  \"bodies\": {bodies},");
-    let _ = writeln!(s, "  \"host_cpus\": {},", host_cpus());
-    let _ = writeln!(s, "  \"samples\": {HOST_SAMPLES},");
-    s.push_str(
-        "  \"note\": \"Barnes-Hut (RSE) per cluster size on the coroutine DES engine (one host thread); every repeat verified to reproduce the first run's fingerprint (virtual end state, physics, wire totals) and engine counters. events_per_sec = kernel events / host wall seconds\",\n",
-    );
-    s.push_str("  \"clusters\": [\n");
-    for (i, c) in cases.iter().enumerate() {
-        let walls: Vec<f64> = c.samples.iter().map(|r| r.wall_s).collect();
-        let rates: Vec<f64> = c.samples.iter().map(|r| r.events_per_sec).collect();
-        let _ = writeln!(s, "    {{\"nodes\": {}, \"events\": {},", c.nodes, c.events);
-        let _ = writeln!(s, "     \"host_wall_s\": {},", spread_json(&walls, 3));
-        let _ = writeln!(s, "     \"events_per_sec\": {},", spread_json(&rates, 0));
-        let _ = writeln!(
-            s,
-            "     \"handoff_switches\": {}, \"self_continues\": {}, \"inline_events\": {}, \"sprint_pops\": {},\n     \"peak_pending\": {}, \"stale_wakes\": {}}}{}",
-            c.exec.handoff_switches,
-            c.exec.self_continues,
-            c.exec.inline_events,
-            c.exec.sprint_pops,
-            c.exec.peak_pending,
-            c.exec.stale_wakes,
-            if i + 1 < cases.len() { "," } else { "" }
-        );
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write("BENCH_host.json", s)
+    write_artifact(
+        "BENCH_table1.json",
+        "table1_barnes_hut",
+        SCHEMA_VERSION,
+        [
+            ("scale", format!("{scale:?}").into()),
+            ("nodes", n.into()),
+            ("host_wall_s", Json::fixed(host_wall_s, 3)),
+            (
+                "simulated",
+                Json::obj([
+                    ("sequential_time_s", Json::fixed(secs(seq), 6)),
+                    ("original_time_s", Json::fixed(secs(orig), 6)),
+                    ("optimized_time_s", Json::fixed(secs(opt), 6)),
+                    ("original_speedup", Json::fixed(secs(seq) / secs(orig), 3)),
+                    ("optimized_speedup", Json::fixed(secs(seq) / secs(opt), 3)),
+                ]),
+            ),
+            (
+                "tlb_invariance",
+                "verified: identical virtual time, messages and bytes with the TLB on and off"
+                    .into(),
+            ),
+            ("host_data_plane", data_plane(host)),
+        ],
+    )
+}
+
+/// The three-way sequential-section strategy comparison (§2, §6.1.2):
+/// master-only, master-plus-broadcast (MasterPush) and replicated (RSE) on
+/// the same contended Barnes-Hut run. MasterPush removes the demand-fetch
+/// request storm but still serializes the whole tree through the master's
+/// transmit link, so RSE must stay ahead of it once the tree is big enough
+/// to be worth contending over — the run is pinned at 8192 bodies and at
+/// least 16 nodes regardless of the (smoke-sized) table-run scale.
+fn write_bench_modes(
+    n: usize,
+    bodies: usize,
+    [orig, push, opt]: [&RunOutcome<BhResult>; 3],
+    host: &host::HostCounters,
+    host_wall_s: f64,
+) -> std::io::Result<()> {
+    write_artifact(
+        "BENCH_modes.json",
+        "seq_exec_modes_barnes_hut",
+        SCHEMA_VERSION,
+        [
+            ("bodies", bodies.into()),
+            ("nodes", n.into()),
+            ("host_wall_s", Json::fixed(host_wall_s, 3)),
+            (
+                "note",
+                "same workload and cluster for all three strategies; times are simulated \
+                 seconds. master_push broadcasts the section's written pages over the master's \
+                 link (contention moves from request storm to transmit serialization); rse \
+                 replicates the section so no page of it ever crosses the wire"
+                    .into(),
+            ),
+            (
+                "simulated",
+                Json::obj([
+                    ("master_only_time_s", Json::fixed(secs(orig), 6)),
+                    ("master_push_time_s", Json::fixed(secs(push), 6)),
+                    ("rse_time_s", Json::fixed(secs(opt), 6)),
+                    ("push_vs_master_only", Json::fixed(secs(orig) / secs(push), 3)),
+                    ("rse_vs_master_only", Json::fixed(secs(orig) / secs(opt), 3)),
+                    ("rse_vs_push", Json::fixed(secs(push) / secs(opt), 3)),
+                ]),
+            ),
+            ("host_data_plane", data_plane(host)),
+        ],
+    )
 }
 
 fn main() {
-    let commit = commit_id();
     println!("diff-engine micro-benchmarks ({SAMPLES}-sample medians)...");
     let cases = diff_cases();
     for c in &cases {
@@ -672,7 +601,7 @@ fn main() {
             c.baseline_ns / c.chunked_ns
         );
     }
-    write_bench_diff(&cases, &commit).expect("writing BENCH_diff.json");
+    write_bench_diff(&cases).expect("writing BENCH_diff.json");
     println!("wrote BENCH_diff.json");
 
     println!("software-MMU access-path micro-benchmarks...");
@@ -716,7 +645,7 @@ fn main() {
         mmu_on.guard_write_ns,
         mmu_off.elem_write_ns
     );
-    write_bench_mmu(&mmu_off, &mmu_on, &commit).expect("writing BENCH_mmu.json");
+    write_bench_mmu(&mmu_off, &mmu_on).expect("writing BENCH_mmu.json");
     println!("wrote BENCH_mmu.json");
 
     let scale = match std::env::var("REPSEQ_BENCH_SCALE").as_deref() {
@@ -733,9 +662,9 @@ fn main() {
     );
     host::reset();
     let wall = Instant::now();
-    let seq = run_barnes(SeqMode::MasterOnly, 1, cfg.clone());
-    let orig = run_barnes(SeqMode::MasterOnly, n, cfg.clone());
-    let opt = run_barnes(SeqMode::Replicated, n, cfg.clone());
+    let seq = barnes(ClusterConfig::paper(1), SeqMode::MasterOnly, &cfg);
+    let orig = barnes(ClusterConfig::paper(n), SeqMode::MasterOnly, &cfg);
+    let opt = barnes(ClusterConfig::paper(n), SeqMode::Replicated, &cfg);
     let host_wall_s = wall.elapsed().as_secs_f64();
     assert_eq!(seq.result, orig.result, "systems must agree on the physics");
     assert_eq!(seq.result, opt.result, "systems must agree on the physics");
@@ -762,7 +691,9 @@ fn main() {
     // system with the fast path disabled and require identical virtual
     // results.
     println!("TLB invariance check (optimized system, fast path disabled)...");
-    let opt_no_tlb = repseq_bench::run_barnes_config(SeqMode::Replicated, n, cfg, false);
+    let mut no_tlb = ClusterConfig::paper(n);
+    no_tlb.dsm.tlb_enabled = false;
+    let opt_no_tlb = barnes(no_tlb, SeqMode::Replicated, &cfg);
     assert_eq!(opt.result, opt_no_tlb.result, "TLB must not change the physics");
     assert_eq!(
         opt.snap.total_time, opt_no_tlb.snap.total_time,
@@ -773,24 +704,20 @@ fn main() {
     assert_eq!(a.bytes, b.bytes, "TLB must not change byte counts");
     println!("  ok: identical virtual time, messages, bytes");
 
-    write_bench_table1(scale, n, &seq, &orig, &opt, &counters, host_wall_s, &commit)
+    write_bench_table1(scale, n, [&seq, &orig, &opt], &counters, host_wall_s)
         .expect("writing BENCH_table1.json");
     println!("wrote BENCH_table1.json");
 
     // Host-execution trajectory: the engine's wall time and event rate on
     // the same workload, growing the cluster past the paper's 32 nodes.
     // Repeats run one after another: each times the host wall clock.
-    let host_nodes: Vec<usize> = std::env::var("REPSEQ_BENCH_HOST_NODES")
-        .map(|v| v.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-        .unwrap_or_default();
-    let host_nodes = if host_nodes.is_empty() { vec![32, 64, 256] } else { host_nodes };
-    let host_cfg = bh_config(scale);
+    let host_nodes = nodes_list_env("REPSEQ_BENCH_HOST_NODES", &[32, 64, 256]);
     println!(
         "host execution trajectory: Barnes-Hut (RSE) at {host_nodes:?} nodes, \
          {HOST_SAMPLES} samples each..."
     );
     let host_cases: Vec<HostCase> =
-        host_nodes.iter().map(|&hn| measure_host_case(hn, &host_cfg)).collect();
+        host_nodes.iter().map(|&hn| measure_host_case(hn, &cfg)).collect();
     for c in &host_cases {
         let walls: Vec<String> = c.samples.iter().map(|r| format!("{:.3}s", r.wall_s)).collect();
         let rates: Vec<String> =
@@ -805,14 +732,13 @@ fn main() {
             c.exec.stale_wakes
         );
     }
-    write_bench_host(scale, host_cfg.n_bodies, &host_cases, &commit)
-        .expect("writing BENCH_host.json");
+    write_bench_host(scale, cfg.n_bodies, &host_cases).expect("writing BENCH_host.json");
     println!("wrote BENCH_host.json");
 
     // Strategy comparison on a tree big enough to contend over: the tiny
     // table config would let the broadcast win on sheer smallness.
     let modes_n = n.max(16);
-    let modes_cfg = repseq_apps::barnes_hut::BhConfig::scaled(8_192);
+    let modes_cfg = BhConfig::scaled(8_192);
     let bodies = modes_cfg.n_bodies;
     println!(
         "strategy comparison: {bodies} bodies, {} timesteps, {modes_n} nodes...",
@@ -820,39 +746,29 @@ fn main() {
     );
     let modes_before = host::snapshot();
     let modes_wall = Instant::now();
-    let m_orig = run_barnes(SeqMode::MasterOnly, modes_n, modes_cfg.clone());
-    let m_push = run_barnes(SeqMode::MasterPush, modes_n, modes_cfg.clone());
-    let m_opt = run_barnes(SeqMode::Replicated, modes_n, modes_cfg);
+    let m_orig = barnes(ClusterConfig::paper(modes_n), SeqMode::MasterOnly, &modes_cfg);
+    let m_push = barnes(ClusterConfig::paper(modes_n), SeqMode::MasterPush, &modes_cfg);
+    let m_opt = barnes(ClusterConfig::paper(modes_n), SeqMode::Replicated, &modes_cfg);
     let modes_wall_s = modes_wall.elapsed().as_secs_f64();
     let modes_host = host::snapshot().since(&modes_before);
     assert_eq!(m_orig.result, m_push.result, "strategies must agree on the physics");
     assert_eq!(m_orig.result, m_opt.result, "strategies must agree on the physics");
-    let t = |o: &RunOutcome<BhResult>| o.snap.total_time.as_secs_f64();
     println!(
         "  master_only {:.6}s   master_push {:.6}s   rse {:.6}s",
-        t(&m_orig),
-        t(&m_push),
-        t(&m_opt)
+        secs(&m_orig),
+        secs(&m_push),
+        secs(&m_opt)
     );
     assert!(
-        t(&m_opt) < t(&m_push),
+        secs(&m_opt) < secs(&m_push),
         "RSE must beat MasterPush on the contended tree rebuild at {modes_n} nodes \
          (rse {:.6}s vs push {:.6}s): the broadcast still serializes the whole \
          tree through the master's transmit link (§2)",
-        t(&m_opt),
-        t(&m_push)
+        secs(&m_opt),
+        secs(&m_push)
     );
-    write_bench_modes(
-        modes_n,
-        bodies,
-        &m_orig,
-        &m_push,
-        &m_opt,
-        &modes_host,
-        modes_wall_s,
-        &commit,
-    )
-    .expect("writing BENCH_modes.json");
+    write_bench_modes(modes_n, bodies, [&m_orig, &m_push, &m_opt], &modes_host, modes_wall_s)
+        .expect("writing BENCH_modes.json");
     println!("wrote BENCH_modes.json");
 
     // KV serving sweep: the open-loop zipfian workload across skews and
@@ -862,15 +778,12 @@ fn main() {
     // counts at every point (a divergence means a stale page was served);
     // and at the highest skew RSE must beat MasterOnly on throughput —
     // the paper's contention-elimination claim, restated for serving.
-    let kv_nodes: Vec<usize> = std::env::var("REPSEQ_BENCH_KV_NODES")
-        .map(|v| v.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-        .unwrap_or_default();
-    let kv_nodes = if kv_nodes.is_empty() { vec![32, 64, 256] } else { kv_nodes };
+    let kv_nodes = nodes_list_env("REPSEQ_BENCH_KV_NODES", &[32, 64, 256]);
     let skews = [0.2f64, 0.99, 1.2];
     // Record-sized values regardless of smoke scale — like the strategy
     // comparison above, the tiny test config would make the sections too
     // small to be worth contending over. Only the trace length shrinks.
-    let kv_base = repseq_apps::kv::KvConfig::scaled(match scale {
+    let kv_base = KvConfig::scaled(match scale {
         Scale::Tiny => 512,
         Scale::Default => 1024,
         Scale::Full => 4096,
@@ -878,12 +791,10 @@ fn main() {
     // The θ×nodes grid points are independent simulations whose recorded
     // metrics are all *virtual* (throughput and latencies over simulated
     // time), so unlike the host trajectory above they can safely share
-    // the machine: the sweep fans out on scoped host threads
-    // (REPSEQ_BENCH_SWEEP_THREADS, default 2) and the results come back
-    // in grid order, so the printed table and BENCH_kv.json are
-    // byte-identical however the points were scheduled.
-    let kv_workers: usize =
-        std::env::var("REPSEQ_BENCH_SWEEP_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(2);
+    // the machine: the sweep fans out on one scoped thread per host CPU
+    // and the results come back in grid order, so the printed table and
+    // BENCH_kv.json are byte-identical however the points were scheduled.
+    let kv_workers = host_cpus();
     let coords: Vec<(usize, f64)> =
         kv_nodes.iter().flat_map(|&kn| skews.iter().map(move |&theta| (kn, theta))).collect();
     println!(
@@ -895,9 +806,10 @@ fn main() {
     let points: Vec<KvPoint> = sweep_points(&coords, kv_workers, |&(kn, theta)| {
         let cfg = kv_base.clone().with_skew(theta).weak_scaled(kn);
         let n_requests = cfg.n_requests;
-        let orig = run_kv(SeqMode::MasterOnly, kn, cfg.clone());
-        let push = run_kv(SeqMode::MasterPush, kn, cfg.clone());
-        let rse = run_kv(SeqMode::Replicated, kn, cfg);
+        let kv = |mode| run(ClusterConfig::paper(kn), mode, |rt| KvStore::setup(rt, cfg.clone()));
+        let orig = kv(SeqMode::MasterOnly);
+        let push = kv(SeqMode::MasterPush);
+        let rse = kv(SeqMode::Replicated);
         for (tag, o) in [("master_push", &push), ("rse", &rse)] {
             assert_eq!(
                 (o.result.fingerprint, o.result.read_xor, o.result.reads, o.result.writes),
@@ -943,6 +855,6 @@ fn main() {
             );
         }
     }
-    write_bench_kv(&points, &commit).expect("writing BENCH_kv.json");
+    write_bench_kv(&points).expect("writing BENCH_kv.json");
     println!("wrote BENCH_kv.json");
 }

@@ -27,18 +27,16 @@
 //!
 //! Run with `cargo run --release -p repseq-bench --bin bench_native`.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use repseq_apps::barnes_hut::BhResult;
-use repseq_apps::ilink::IlinkResult;
-use repseq_apps::kv::KvResult;
+use repseq_apps::barnes_hut::BarnesHut;
+use repseq_apps::ilink::Ilink;
+use repseq_apps::kv::KvStore;
 use repseq_bench::{
-    bh_config, commit_id, host_cpus, ilink_config, kv_config, run_barnes_on, run_ilink_on,
-    run_kv_on, RunOutcome, Scale,
+    bh_config, ilink_config, kv_config, nodes_list_env, run, write_artifact, App, Json, Scale,
 };
-use repseq_core::SeqMode;
-use repseq_dsm::Backend;
+use repseq_core::{Runtime, SeqMode};
+use repseq_dsm::{Backend, ClusterConfig};
 
 /// Schema of `BENCH_native.json`. Independent of `bench_json`'s DES
 /// artifacts — this file records wall-clock measurements.
@@ -52,212 +50,149 @@ const MODES: [(&str, SeqMode); 3] = [
     ("rse", SeqMode::Replicated),
 ];
 
-/// One strategy's native measurement of one app point.
-struct ModeRun {
-    wall_s: f64,
-}
-
-/// One (app, nodes) point: per-strategy wall seconds, plus the DES-equal
-/// result rendered for provenance.
-struct AppPoint {
-    app: &'static str,
-    nodes: usize,
-    runs: Vec<(&'static str, ModeRun)>,
-    result: String,
-}
-
-/// One KV sweep point: per-strategy wall-clock serving numbers.
-struct KvPoint {
-    nodes: usize,
-    requests: u64,
-    read_xor: u64,
-    runs: Vec<(&'static str, KvModeRun)>,
-}
-
-struct KvModeRun {
-    wall_s: f64,
-    throughput_rps: f64,
-    p50_ns: u64,
-    p99_ns: u64,
-}
-
-fn native_nodes() -> Vec<usize> {
-    std::env::var("REPSEQ_BENCH_NATIVE_NODES")
-        .ok()
-        .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![4, 8])
-}
-
 /// Time one native run with a same-config DES twin, panicking unless the
-/// deterministic projection of the results agrees.
-fn gated<R, K: PartialEq + std::fmt::Debug>(
+/// deterministic projection of the results agrees. Returns the native
+/// result and its wall seconds.
+fn gated<A: App, K: PartialEq + std::fmt::Debug>(
     label: &str,
-    run: impl Fn(Backend) -> RunOutcome<R>,
-    key: impl Fn(&R) -> K,
-) -> (RunOutcome<R>, f64) {
-    let sim = run(Backend::Sim);
+    n: usize,
+    mode: SeqMode,
+    setup: impl Fn(&mut Runtime) -> A,
+    key: impl Fn(&A::Output) -> K,
+) -> (A::Output, f64) {
+    let on = |backend| ClusterConfig { backend, ..ClusterConfig::paper(n) };
+    let sim = run(on(Backend::Sim), mode, &setup);
     let t0 = Instant::now();
-    let nat = run(Backend::Native);
+    let nat = run(on(Backend::Native), mode, &setup);
     let wall_s = t0.elapsed().as_secs_f64();
     assert_eq!(key(&sim.result), key(&nat.result), "{label}: native result diverged from the DES");
-    (nat, wall_s)
+    (nat.result, wall_s)
 }
 
-fn bh_point(n: usize, scale: Scale) -> AppPoint {
-    let cfg = bh_config(scale);
-    let mut runs = Vec::new();
+/// One (app, nodes) row of the strategy comparison: the DES-equal result
+/// rendered by `describe` for provenance, then per-strategy wall seconds.
+fn app_point<A: App, K: PartialEq + std::fmt::Debug>(
+    app: &str,
+    n: usize,
+    setup: impl Fn(&mut Runtime) -> A,
+    key: impl Fn(&A::Output) -> K,
+    describe: impl Fn(&A::Output) -> String,
+) -> Json {
     let mut result = String::new();
+    let mut walls = Vec::new();
     for (name, mode) in MODES {
-        let (nat, wall_s) = gated(
-            &format!("barnes_hut/{name}/n{n}"),
-            |backend| run_barnes_on(mode, n, cfg.clone(), backend),
-            |r: &BhResult| (r.checksum.to_bits(), r.interactions),
-        );
-        result = format!(
-            "checksum={:.6e} interactions={}",
-            nat.result.checksum, nat.result.interactions
-        );
-        runs.push((name, ModeRun { wall_s }));
+        let (r, wall_s) = gated(&format!("{app}/{name}/n{n}"), n, mode, &setup, &key);
+        result = describe(&r);
+        walls.push((name, wall_s));
     }
-    AppPoint { app: "barnes_hut", nodes: n, runs, result }
+    print!("{app:<11} n={n:<3} {result}  ");
+    for (name, wall_s) in &walls {
+        print!(" {name}={:.1}ms", wall_s * 1e3);
+    }
+    println!();
+    let mut fields = vec![("app", app.into()), ("nodes", n.into()), ("result", result.into())];
+    fields.extend(
+        walls.into_iter().map(|(name, w)| (name, Json::obj([("wall_s", Json::fixed(w, 6))]))),
+    );
+    Json::obj(fields)
 }
 
-fn ilink_point(n: usize, scale: Scale) -> AppPoint {
-    let cfg = ilink_config(scale);
-    let mut runs = Vec::new();
-    let mut result = String::new();
-    for (name, mode) in MODES {
-        let (nat, wall_s) = gated(
-            &format!("ilink/{name}/n{n}"),
-            |backend| run_ilink_on(mode, n, cfg.clone(), backend),
-            |r: &IlinkResult| (r.likelihood.to_bits(), r.parallel_updates, r.sequential_updates),
-        );
-        result = format!(
-            "likelihood={:.6e} par_updates={} seq_updates={}",
-            nat.result.likelihood, nat.result.parallel_updates, nat.result.sequential_updates
-        );
-        runs.push((name, ModeRun { wall_s }));
-    }
-    AppPoint { app: "ilink", nodes: n, runs, result }
-}
-
-fn kv_point(n: usize, scale: Scale) -> KvPoint {
+/// One KV sweep row: per-strategy wall-clock serving numbers.
+fn kv_point(n: usize, scale: Scale) -> Json {
     let cfg = kv_config(scale);
-    let mut runs = Vec::new();
-    let mut requests = 0;
-    let mut read_xor = 0;
-    for (name, mode) in MODES {
-        let (nat, wall_s) = gated(
-            &format!("kv/{name}/n{n}"),
-            |backend| run_kv_on(mode, n, cfg.clone(), backend),
-            |r: &KvResult| (r.fingerprint, r.trace_hash, r.read_xor, r.reads, r.writes),
-        );
-        requests = nat.result.reads + nat.result.writes;
-        read_xor = nat.result.read_xor;
-        runs.push((
+    let runs: Vec<_> = MODES
+        .into_iter()
+        .map(|(name, mode)| {
+            let (r, wall_s) = gated(
+                &format!("kv/{name}/n{n}"),
+                n,
+                mode,
+                |rt| KvStore::setup(rt, cfg.clone()),
+                |r| (r.fingerprint, r.trace_hash, r.read_xor, r.reads, r.writes),
+            );
+            (name, r, wall_s)
+        })
+        .collect();
+    let last = &runs[runs.len() - 1].1;
+    let requests = last.reads + last.writes;
+    print!("kv          n={n:<3} requests={requests}  ");
+    let mut fields = vec![
+        ("nodes", n.into()),
+        ("requests", requests.into()),
+        ("read_xor", format!("{:#018x}", last.read_xor).into()),
+    ];
+    for (name, r, wall_s) in &runs {
+        print!(" {name}={:.0}rps", r.throughput_rps);
+        // On the native backend the app's clock IS the wall clock, so the
+        // result's open-loop throughput is already wall-side.
+        fields.push((
             name,
-            KvModeRun {
-                wall_s,
-                // On the native backend the app's clock IS the wall clock,
-                // so the result's open-loop throughput is already wall-side.
-                throughput_rps: nat.result.throughput_rps,
-                p50_ns: nat.result.p50_ns,
-                p99_ns: nat.result.p99_ns,
-            },
+            Json::obj([
+                ("wall_s", Json::fixed(*wall_s, 6)),
+                ("throughput_rps", Json::fixed(r.throughput_rps, 1)),
+                ("p50_ns", r.p50_ns.into()),
+                ("p99_ns", r.p99_ns.into()),
+            ]),
         ));
     }
-    KvPoint { nodes: n, requests, read_xor, runs }
-}
-
-fn write_bench_native(
-    scale: Scale,
-    apps: &[AppPoint],
-    kv: &[KvPoint],
-    commit: &str,
-) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"native_substrate\",\n");
-    let _ = writeln!(s, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(s, "  \"commit\": \"{commit}\",");
-    let _ = writeln!(s, "  \"host_cpus\": {},", host_cpus());
-    let _ = writeln!(s, "  \"scale\": \"{scale:?}\",");
-    s.push_str("  \"backend\": \"native\",\n");
-    s.push_str(
-        "  \"note\": \"applications on the native OS-thread substrate (real threads, \
-         process-shared segment, wall-clock timeouts). every point's deterministic result \
-         (checksums, likelihoods, read XOR, section update and request counts) was asserted \
-         equal to a DES run at the same configuration before this file was written. times are \
-         host wall seconds and vary with the machine; they are recorded for trajectory, \
-         not fingerprinted\",\n",
-    );
-    s.push_str("  \"strategy_comparison\": [\n");
-    for (i, p) in apps.iter().enumerate() {
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"app\": \"{}\",", p.app);
-        let _ = writeln!(s, "      \"nodes\": {},", p.nodes);
-        let _ = writeln!(s, "      \"result\": \"{}\",", p.result);
-        for (j, (name, r)) in p.runs.iter().enumerate() {
-            let sep = if j + 1 == p.runs.len() { "" } else { "," };
-            let _ = writeln!(s, "      \"{name}\": {{\"wall_s\": {:.6}}}{sep}", r.wall_s);
-        }
-        s.push_str(if i + 1 == apps.len() { "    }\n" } else { "    },\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"kv_sweep\": [\n");
-    for (i, p) in kv.iter().enumerate() {
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"nodes\": {},", p.nodes);
-        let _ = writeln!(s, "      \"requests\": {},", p.requests);
-        let _ = writeln!(s, "      \"read_xor\": \"{:#018x}\",", p.read_xor);
-        for (j, (name, r)) in p.runs.iter().enumerate() {
-            let sep = if j + 1 == p.runs.len() { "" } else { "," };
-            let _ = writeln!(
-                s,
-                "      \"{name}\": {{\"wall_s\": {:.6}, \"throughput_rps\": {:.1}, \
-                 \"p50_ns\": {}, \"p99_ns\": {}}}{sep}",
-                r.wall_s, r.throughput_rps, r.p50_ns, r.p99_ns
-            );
-        }
-        s.push_str(if i + 1 == kv.len() { "    }\n" } else { "    },\n" });
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write("BENCH_native.json", s)
+    println!();
+    Json::obj(fields)
 }
 
 fn main() {
-    let commit = commit_id();
     // Wall-clock throughput at Tiny problem sizes: the point is the
     // substrate comparison, not problem-size scaling (the DES artifacts
     // own that axis).
     let scale = Scale::Tiny;
-    let nodes = native_nodes();
+    let nodes = nodes_list_env("REPSEQ_BENCH_NATIVE_NODES", &[4, 8]);
 
     let mut apps = Vec::new();
     let mut kv = Vec::new();
     for &n in &nodes {
         println!("native point: {n} nodes (BH, Ilink, KV × 3 strategies, DES-gated)...");
-        apps.push(bh_point(n, scale));
-        apps.push(ilink_point(n, scale));
+        apps.push(app_point(
+            "barnes_hut",
+            n,
+            |rt| BarnesHut::setup(rt, bh_config(scale)),
+            |r| (r.checksum.to_bits(), r.interactions),
+            |r| format!("checksum={:.6e} interactions={}", r.checksum, r.interactions),
+        ));
+        apps.push(app_point(
+            "ilink",
+            n,
+            |rt| Ilink::setup(rt, ilink_config(scale)),
+            |r| (r.likelihood.to_bits(), r.parallel_updates, r.sequential_updates),
+            |r| {
+                format!(
+                    "likelihood={:.6e} par_updates={} seq_updates={}",
+                    r.likelihood, r.parallel_updates, r.sequential_updates
+                )
+            },
+        ));
         kv.push(kv_point(n, scale));
     }
 
-    for p in &apps {
-        print!("{:<11} n={:<3} {}  ", p.app, p.nodes, p.result);
-        for (name, r) in &p.runs {
-            print!(" {name}={:.1}ms", r.wall_s * 1e3);
-        }
-        println!();
-    }
-    for p in &kv {
-        print!("kv          n={:<3} requests={}  ", p.nodes, p.requests);
-        for (name, r) in &p.runs {
-            print!(" {name}={:.0}rps", r.throughput_rps);
-        }
-        println!();
-    }
-
-    write_bench_native(scale, &apps, &kv, &commit).expect("writing BENCH_native.json");
+    write_artifact(
+        "BENCH_native.json",
+        "native_substrate",
+        SCHEMA_VERSION,
+        [
+            ("scale", format!("{scale:?}").into()),
+            ("backend", "native".into()),
+            (
+                "note",
+                "applications on the native OS-thread substrate (real threads, process-shared \
+                 segment, wall-clock timeouts). every point's deterministic result (checksums, \
+                 likelihoods, read XOR, section update and request counts) was asserted equal to \
+                 a DES run at the same configuration before this file was written. times are \
+                 host wall seconds and vary with the machine; they are recorded for trajectory, \
+                 not fingerprinted"
+                    .into(),
+            ),
+            ("strategy_comparison", Json::Arr(apps)),
+            ("kv_sweep", Json::Arr(kv)),
+        ],
+    )
+    .expect("writing BENCH_native.json");
     println!("wrote BENCH_native.json (all points matched their DES twin)");
 }

@@ -10,17 +10,24 @@
 //! `REPSEQ_NODES=<n>` (default 32, as in the paper). `full` is the paper's
 //! problem size and takes a while; `default` preserves the shapes at
 //! laptop scale.
+//!
+//! The crate also holds what the harnesses share: one runner ([`run`]),
+//! one timer ([`bench_ns`]) and one artifact writer ([`write_artifact`]).
 
-use std::sync::Arc;
+use std::time::Instant;
 
-use parking_lot::Mutex;
 use repseq_apps::barnes_hut::{BarnesHut, BhConfig, BhResult};
 use repseq_apps::ilink::{Ilink, IlinkConfig, IlinkResult};
+use repseq_apps::kernels::ContentionKernel;
 use repseq_apps::kv::{KvConfig, KvResult, KvStore};
-use repseq_core::{RunConfig, Runtime, SeqMode};
-use repseq_dsm::{Backend, ClusterConfig};
+use repseq_core::{RunConfig, Runtime, SeqMode, Stopped, Team};
+use repseq_dsm::ClusterConfig;
 use repseq_sim::{Dur, SimReport};
 use repseq_stats::{Section, StatsSnapshot};
+
+mod json;
+
+pub use json::{write_artifact, Json};
 
 /// Benchmark scale, from `REPSEQ_SCALE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,164 +101,106 @@ pub fn kv_config(scale: Scale) -> KvConfig {
     }
 }
 
+/// A node-count list from the comma-separated env var `var`, or
+/// `default` when it is unset or names no count.
+pub fn nodes_list_env(var: &str, default: &[usize]) -> Vec<usize> {
+    let list: Vec<usize> = std::env::var(var)
+        .map(|v| v.split(',').filter_map(|t| t.trim().parse().ok()).collect())
+        .unwrap_or_default();
+    if list.is_empty() {
+        default.to_vec()
+    } else {
+        list
+    }
+}
+
+/// Timed samples per [`bench_ns`] measurement.
+pub const SAMPLES: usize = 15;
+
+/// Median host ns per call of `f` over [`SAMPLES`] samples, each
+/// calibrated to run for at least 2 ms.
+pub fn bench_ns(mut f: impl FnMut()) -> f64 {
+    let mut iters = 1u64;
+    loop {
+        let t = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        if t.elapsed().as_nanos() >= 2_000_000 {
+            break;
+        }
+        iters *= 2;
+    }
+    let mut samples: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            t.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .collect();
+    samples.sort_by(|a, b| a.total_cmp(b));
+    samples[SAMPLES / 2]
+}
+
+/// An application the runner sets up and runs as the master program.
+pub trait App: Send + 'static {
+    /// What one run computes.
+    type Output: Send + 'static;
+    /// Run the application on the team.
+    fn run(&self, team: &Team) -> Result<Self::Output, Stopped>;
+}
+
+impl App for BarnesHut {
+    type Output = BhResult;
+    fn run(&self, team: &Team) -> Result<BhResult, Stopped> {
+        BarnesHut::run(self, team)
+    }
+}
+
+impl App for Ilink {
+    type Output = IlinkResult;
+    fn run(&self, team: &Team) -> Result<IlinkResult, Stopped> {
+        Ilink::run(self, team)
+    }
+}
+
+impl App for KvStore {
+    type Output = KvResult;
+    fn run(&self, team: &Team) -> Result<KvResult, Stopped> {
+        KvStore::run(self, team)
+    }
+}
+
+impl App for ContentionKernel {
+    type Output = u64;
+    fn run(&self, team: &Team) -> Result<u64, Stopped> {
+        ContentionKernel::run(self, team)
+    }
+}
+
 /// One measured system run.
 pub struct RunOutcome<R> {
     pub result: R,
     pub snap: StatsSnapshot,
+    pub report: SimReport,
 }
 
-/// Run Barnes-Hut under `mode` on `n` nodes.
-pub fn run_barnes(mode: SeqMode, n: usize, cfg: BhConfig) -> RunOutcome<BhResult> {
-    run_barnes_config(mode, n, cfg, true)
-}
-
-/// Like [`run_barnes`], but with the software TLB explicitly enabled or
-/// disabled — the bench harness runs both and asserts the simulated
-/// results are identical (the fast path must be invisible to virtual
-/// time).
-pub fn run_barnes_config(
+/// Run the application `setup` builds on `cluster` under `mode`. On
+/// [`repseq_dsm::Backend::Native`] the snapshot's *times* are wall-clock
+/// and its message counts include wall-clock-timeout resends; the
+/// application's result is backend-invariant.
+pub fn run<A: App>(
+    cluster: ClusterConfig,
     mode: SeqMode,
-    n: usize,
-    cfg: BhConfig,
-    tlb_enabled: bool,
-) -> RunOutcome<BhResult> {
-    run_barnes_report(mode, n, cfg, tlb_enabled).0
-}
-
-/// Like [`run_barnes_config`], but also returns the kernel's
-/// [`SimReport`] alongside the outcome — the host-execution bench derives
-/// events/sec from it.
-pub fn run_barnes_report(
-    mode: SeqMode,
-    n: usize,
-    cfg: BhConfig,
-    tlb_enabled: bool,
-) -> (RunOutcome<BhResult>, SimReport) {
-    let mut cluster = ClusterConfig::paper(n);
-    cluster.dsm.tlb_enabled = tlb_enabled;
+    setup: impl FnOnce(&mut Runtime) -> A,
+) -> RunOutcome<A::Output> {
     let mut rt = Runtime::new(RunConfig { cluster, seq_mode: mode });
-    let app = BarnesHut::setup(&mut rt, cfg);
+    let app = setup(&mut rt);
     let stats = rt.stats();
-    let out = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    let report = rt
-        .run(move |team| {
-            let r = app.run(team)?;
-            *out2.lock() = Some(r);
-            Ok(())
-        })
-        .expect("barnes-hut run failed");
-    let result = out.lock().take().unwrap();
-    (RunOutcome { result, snap: stats.snapshot() }, report)
-}
-
-/// Run Barnes-Hut under `mode` on `n` nodes on the given substrate. On
-/// [`Backend::Native`] the statistics snapshot's *times* are wall-clock
-/// and the message counts include wall-clock-timeout resends; the
-/// physics result is backend-invariant.
-pub fn run_barnes_on(
-    mode: SeqMode,
-    n: usize,
-    cfg: BhConfig,
-    backend: Backend,
-) -> RunOutcome<BhResult> {
-    let mut cluster = ClusterConfig::paper(n);
-    cluster.backend = backend;
-    let mut rt = Runtime::new(RunConfig { cluster, seq_mode: mode });
-    let app = BarnesHut::setup(&mut rt, cfg);
-    let stats = rt.stats();
-    let out = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    rt.run(move |team| {
-        let r = app.run(team)?;
-        *out2.lock() = Some(r);
-        Ok(())
-    })
-    .expect("barnes-hut run failed");
-    let result = out.lock().take().unwrap();
-    RunOutcome { result, snap: stats.snapshot() }
-}
-
-/// Run Ilink under `mode` on `n` nodes on the given substrate (see
-/// [`run_barnes_on`] for what is and is not backend-invariant).
-pub fn run_ilink_on(
-    mode: SeqMode,
-    n: usize,
-    cfg: IlinkConfig,
-    backend: Backend,
-) -> RunOutcome<IlinkResult> {
-    let mut cluster = ClusterConfig::paper(n);
-    cluster.backend = backend;
-    let mut rt = Runtime::new(RunConfig { cluster, seq_mode: mode });
-    let app = Ilink::setup(&mut rt, cfg);
-    let stats = rt.stats();
-    let out = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    rt.run(move |team| {
-        let r = app.run(team)?;
-        *out2.lock() = Some(r);
-        Ok(())
-    })
-    .expect("ilink run failed");
-    let result = out.lock().take().unwrap();
-    RunOutcome { result, snap: stats.snapshot() }
-}
-
-/// Run the KV-serving workload under `mode` on `n` nodes on the given
-/// substrate. On [`Backend::Native`] the latency percentiles and
-/// throughput in the result are over the wall clock; the served values
-/// (`read_xor`), table fingerprint, trace hash and request counts are
-/// backend-invariant.
-pub fn run_kv_on(mode: SeqMode, n: usize, cfg: KvConfig, backend: Backend) -> RunOutcome<KvResult> {
-    let mut cluster = ClusterConfig::paper(n);
-    cluster.backend = backend;
-    let mut rt = Runtime::new(RunConfig { cluster, seq_mode: mode });
-    let app = KvStore::setup(&mut rt, cfg);
-    let stats = rt.stats();
-    let out = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    rt.run(move |team| {
-        let r = app.run(team)?;
-        *out2.lock() = Some(r);
-        Ok(())
-    })
-    .expect("kv run failed");
-    let result = out.lock().take().unwrap();
-    RunOutcome { result, snap: stats.snapshot() }
-}
-
-/// Run the KV-serving workload under `mode` on `n` nodes.
-pub fn run_kv(mode: SeqMode, n: usize, cfg: KvConfig) -> RunOutcome<KvResult> {
-    let mut rt = Runtime::new(RunConfig { cluster: ClusterConfig::paper(n), seq_mode: mode });
-    let app = KvStore::setup(&mut rt, cfg);
-    let stats = rt.stats();
-    let out = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    rt.run(move |team| {
-        let r = app.run(team)?;
-        *out2.lock() = Some(r);
-        Ok(())
-    })
-    .expect("kv run failed");
-    let result = out.lock().take().unwrap();
-    RunOutcome { result, snap: stats.snapshot() }
-}
-
-/// Run Ilink under `mode` on `n` nodes.
-pub fn run_ilink(mode: SeqMode, n: usize, cfg: IlinkConfig) -> RunOutcome<IlinkResult> {
-    let mut rt = Runtime::new(RunConfig { cluster: ClusterConfig::paper(n), seq_mode: mode });
-    let app = Ilink::setup(&mut rt, cfg);
-    let stats = rt.stats();
-    let out = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    rt.run(move |team| {
-        let r = app.run(team)?;
-        *out2.lock() = Some(r);
-        Ok(())
-    })
-    .expect("ilink run failed");
-    let result = out.lock().take().unwrap();
-    RunOutcome { result, snap: stats.snapshot() }
+    let (result, report) = rt.run_app(move |team| app.run(team)).expect("benchmark run failed");
+    RunOutcome { result, snap: stats.snapshot(), report }
 }
 
 fn secs(d: Dur) -> f64 {

@@ -109,20 +109,37 @@ fn host_artifact_records_the_engine_trajectory() {
     }
 }
 
-/// EXPERIMENTS.md quotes the strategy comparison's simulated totals from
-/// `BENCH_modes.json`; the quoted figures must be the artifact's.
+/// EXPERIMENTS.md quotes the strategy comparison from `BENCH_modes.json`:
+/// the two totals in the Table 1 paragraph and the whole §2 table. The
+/// quoted figures must be the artifact's.
 #[test]
 fn experiments_quotes_the_modes_artifact() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let modes = std::fs::read_to_string(root.join("BENCH_modes.json"))
         .expect("BENCH_modes.json must be committed");
     let doc = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
-    for key in ["master_only_time_s", "rse_time_s"] {
+    let value = |key: &str| -> &str {
         let at = modes.find(&format!("\"{key}\": ")).unwrap_or_else(|| panic!("no {key}"));
-        let value = modes[at + key.len() + 4..].split(',').next().expect("a value").trim();
+        modes[at + key.len() + 4..].split(',').next().expect("a value").trim()
+    };
+    for key in ["master_only_time_s", "rse_time_s"] {
+        let v = value(key);
         assert!(
-            doc.contains(&format!("`{key}` ({value} s)")),
-            "EXPERIMENTS.md must quote BENCH_modes.json's {key} = {value}"
+            doc.contains(&format!("`{key}` ({v} s)")),
+            "EXPERIMENTS.md must quote BENCH_modes.json's {key} = {v}"
+        );
+    }
+    let num = |key: &str| -> f64 { value(key).parse().unwrap_or_else(|_| panic!("{key} number")) };
+    for (row, time, ratio) in [
+        ("MasterOnly", "master_only_time_s", None),
+        ("MasterPush", "master_push_time_s", Some("push_vs_master_only")),
+        ("Replicated", "rse_time_s", Some("rse_vs_master_only")),
+    ] {
+        let ratio = ratio.map_or("1.00".to_string(), |k| format!("{:.2}", num(k)));
+        let line = format!("| {row} | {:.3} s | {ratio}× |", num(time));
+        assert!(
+            doc.contains(&line),
+            "EXPERIMENTS.md's §2 table must have the row `{line}` from BENCH_modes.json"
         );
     }
 }

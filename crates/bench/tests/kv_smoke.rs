@@ -1,15 +1,20 @@
 //! End-to-end smoke of the KV-serving workload: the final-state gates must
 //! hold across all three sequential-section strategies at a small scale.
 
-use repseq_bench::{kv_config, run_kv, Scale};
+use repseq_apps::kv::{KvResult, KvStore};
+use repseq_bench::{kv_config, run, RunOutcome, Scale};
 use repseq_core::SeqMode;
+use repseq_dsm::ClusterConfig;
+
+fn run_kv(mode: SeqMode, n: usize) -> RunOutcome<KvResult> {
+    run(ClusterConfig::paper(n), mode, |rt| KvStore::setup(rt, kv_config(Scale::Tiny)))
+}
 
 #[test]
 fn kv_state_is_strategy_invariant_at_small_scale() {
-    let cfg = kv_config(Scale::Tiny);
-    let orig = run_kv(SeqMode::MasterOnly, 4, cfg.clone());
-    let opt = run_kv(SeqMode::Replicated, 4, cfg.clone());
-    let push = run_kv(SeqMode::MasterPush, 4, cfg);
+    let orig = run_kv(SeqMode::MasterOnly, 4);
+    let opt = run_kv(SeqMode::Replicated, 4);
+    let push = run_kv(SeqMode::MasterPush, 4);
 
     // Correctness gates: identical final table, identical served values,
     // identical trace.
@@ -30,8 +35,7 @@ fn kv_state_is_strategy_invariant_at_small_scale() {
 
 #[test]
 fn kv_runs_are_deterministic() {
-    let cfg = kv_config(Scale::Tiny);
-    let a = run_kv(SeqMode::Replicated, 3, cfg.clone());
-    let b = run_kv(SeqMode::Replicated, 3, cfg);
+    let a = run_kv(SeqMode::Replicated, 3);
+    let b = run_kv(SeqMode::Replicated, 3);
     assert_eq!(a.result, b.result, "same seed + mode must reproduce bit-identically");
 }

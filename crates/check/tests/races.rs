@@ -21,7 +21,6 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use repseq_apps::barnes_hut::{BarnesHut, BhConfig, BhResult};
 use repseq_apps::ilink::{Ilink, IlinkConfig, IlinkResult};
@@ -244,15 +243,7 @@ fn run_bh(cfg: RunConfig, det: Option<Arc<RaceDetector>>) -> (BhResult, AppFinge
     }
     let bh = BarnesHut::setup(&mut rt, BhConfig::tiny());
     let stats = rt.stats();
-    let result: Arc<Mutex<Option<BhResult>>> = Arc::new(Mutex::new(None));
-    let slot = Arc::clone(&result);
-    let report = rt
-        .run(move |team| {
-            *slot.lock() = Some(bh.run(team)?);
-            Ok(())
-        })
-        .expect("BH run must complete");
-    let r = result.lock().take().expect("BH result recorded");
+    let (r, report) = rt.run_app(move |team| bh.run(team)).expect("BH run must complete");
     let fp = AppFingerprint {
         end_time: report.end_time,
         proc_clocks: report.proc_clocks,
@@ -269,15 +260,7 @@ fn run_ilink(cfg: RunConfig, det: Option<Arc<RaceDetector>>) -> (IlinkResult, Ap
     }
     let il = Ilink::setup(&mut rt, IlinkConfig::tiny());
     let stats = rt.stats();
-    let result: Arc<Mutex<Option<IlinkResult>>> = Arc::new(Mutex::new(None));
-    let slot = Arc::clone(&result);
-    let report = rt
-        .run(move |team| {
-            *slot.lock() = Some(il.run(team)?);
-            Ok(())
-        })
-        .expect("Ilink run must complete");
-    let r = result.lock().take().expect("Ilink result recorded");
+    let (r, report) = rt.run_app(move |team| il.run(team)).expect("Ilink run must complete");
     let fp = AppFingerprint {
         end_time: report.end_time,
         proc_clocks: report.proc_clocks,
@@ -294,15 +277,7 @@ fn run_kv(cfg: RunConfig, det: Option<Arc<RaceDetector>>) -> (KvResult, AppFinge
     }
     let kv = KvStore::setup(&mut rt, KvConfig::tiny());
     let stats = rt.stats();
-    let result: Arc<Mutex<Option<KvResult>>> = Arc::new(Mutex::new(None));
-    let slot = Arc::clone(&result);
-    let report = rt
-        .run(move |team| {
-            *slot.lock() = Some(kv.run(team)?);
-            Ok(())
-        })
-        .expect("KV run must complete");
-    let r = result.lock().take().expect("KV result recorded");
+    let (r, report) = rt.run_app(move |team| kv.run(team)).expect("KV run must complete");
     let fp = AppFingerprint {
         end_time: report.end_time,
         proc_clocks: report.proc_clocks,

@@ -16,8 +16,10 @@
 //! let data = rt.alloc_array_page_aligned::<f64>(1024);
 //! let partials = rt.alloc_array_page_aligned::<f64>(4);
 //! rt.preload(data, &vec![1.0; 1024]);
-//! let report = rt
-//!     .run(move |team| {
+//! // `run_app` hands back the master program's value with the kernel's
+//! // report; `run` is the same for a program that returns `()`.
+//! let (total, report) = rt
+//!     .run_app(move |team| {
 //!         team.start_measurement();
 //!         // Sequential section: rescale everything (replicated on all
 //!         // nodes under the optimized mode).
@@ -37,11 +39,11 @@
 //!             partials.set(nd, nd.node(), s)
 //!         })?;
 //!         let total = team.sum_partials(team.node(), partials)?;
-//!         assert_eq!(total, 2048.0);
 //!         team.end_measurement();
-//!         Ok(())
+//!         Ok(total)
 //!     })
 //!     .unwrap();
+//! assert_eq!(total, 2048.0);
 //! assert!(report.end_time.nanos() > 0);
 //! ```
 

@@ -5,6 +5,8 @@
 
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+
 use repseq_dsm::{Cluster, ClusterConfig, DsmNode, Pod, ShArray, ShVar};
 use repseq_sim::{SimError, SimReport, Stopped};
 use repseq_stats::{Stats, StatsRef};
@@ -148,18 +150,34 @@ impl Runtime {
     where
         F: FnOnce(&Team) -> Result<(), Stopped> + Send + 'static,
     {
+        self.run_app(program).map(|((), report)| report)
+    }
+
+    /// Like [`Runtime::run`], but hands back the master program's value
+    /// alongside the kernel's report.
+    pub fn run_app<R, F>(self, program: F) -> Result<(R, SimReport), SimError>
+    where
+        R: Send + 'static,
+        F: FnOnce(&Team) -> Result<R, Stopped> + Send + 'static,
+    {
         let n = self.cluster.config().nodes;
         let mode = self.mode;
         let stats = Arc::clone(&self.stats);
+        let slot = Arc::new(Mutex::new(None));
+        let master_slot = Arc::clone(&slot);
         let mut apps: Vec<repseq_dsm::AppFn> = Vec::new();
         apps.push(Box::new(move |node: DsmNode| {
             let team = Team::new(node, mode, stats);
-            program(&team)?;
+            *master_slot.lock() = Some(program(&team)?);
             team.node().shutdown_slaves()
         }));
         for _ in 1..n {
             apps.push(Box::new(|node: DsmNode| node.slave_loop()));
         }
-        self.cluster.launch(apps)
+        let report = self.cluster.launch(apps)?;
+        // A master that stops early never shuts the slaves down, so its
+        // run cannot complete: an empty slot is unreachable here.
+        let value = slot.lock().take().expect("a completed run stores the master's value");
+        Ok((value, report))
     }
 }

@@ -22,47 +22,44 @@ fn mini_app(mode: SeqMode, n: usize, iters: usize) -> (Vec<u64>, StatsSnapshot) 
     let init: Vec<u64> = (0..parts.len() as u64).collect();
     rt.preload(parts, &init);
     let stats = rt.stats();
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let out2 = Arc::clone(&out);
     let page_size = rt.page_size();
-    rt.run(move |team| {
-        team.start_measurement();
-        for _ in 0..iters {
-            let (first, last) = tree.page_span(page_size);
-            team.sequential_broadcasting(
-                move |nd| {
-                    // Deterministic "tree build" reading every particle.
-                    let mut acc = 0u64;
-                    for i in 0..parts.len() {
-                        acc = acc.wrapping_add(parts.get(nd, i)?);
-                    }
-                    for k in 0..tree.len() {
-                        tree.set(nd, k, acc.wrapping_add(k as u64))?;
+    let (parts_after, _) = rt
+        .run_app(move |team| {
+            team.start_measurement();
+            for _ in 0..iters {
+                let (first, last) = tree.page_span(page_size);
+                team.sequential_broadcasting(
+                    move |nd| {
+                        // Deterministic "tree build" reading every particle.
+                        let mut acc = 0u64;
+                        for i in 0..parts.len() {
+                            acc = acc.wrapping_add(parts.get(nd, i)?);
+                        }
+                        for k in 0..tree.len() {
+                            tree.set(nd, k, acc.wrapping_add(k as u64))?;
+                        }
+                        Ok(())
+                    },
+                    (first..=last).collect(),
+                )?;
+                team.parallel(move |nd| {
+                    for i in nd.my_block(parts.len()) {
+                        let t = tree.get(nd, i % tree.len())?;
+                        let v = parts.get(nd, i)?;
+                        parts.set(nd, i, v.wrapping_mul(3).wrapping_add(t))?;
                     }
                     Ok(())
-                },
-                (first..=last).collect(),
-            )?;
-            team.parallel(move |nd| {
-                for i in nd.my_block(parts.len()) {
-                    let t = tree.get(nd, i % tree.len())?;
-                    let v = parts.get(nd, i)?;
-                    parts.set(nd, i, v.wrapping_mul(3).wrapping_add(t))?;
-                }
-                Ok(())
-            })?;
-        }
-        team.end_measurement();
-        let mut v = Vec::new();
-        for i in 0..parts.len() {
-            v.push(parts.get(team.node(), i)?);
-        }
-        *out2.lock() = v;
-        Ok(())
-    })
-    .expect("run failed");
-    let snap = stats.snapshot();
-    (Arc::try_unwrap(out).unwrap().into_inner(), snap)
+                })?;
+            }
+            team.end_measurement();
+            let mut v = Vec::new();
+            for i in 0..parts.len() {
+                v.push(parts.get(team.node(), i)?);
+            }
+            Ok(v)
+        })
+        .expect("run failed");
+    (parts_after, stats.snapshot())
 }
 
 #[test]
@@ -126,27 +123,26 @@ fn parallel_for_schedules_cover_iterations() {
         let n = 3;
         let mut rt = Runtime::new(RunConfig::original(n));
         let marks: ShArray<u32> = rt.alloc_array_page_aligned(96);
-        let ok = Arc::new(Mutex::new(false));
-        let ok2 = Arc::clone(&ok);
-        rt.run(move |team| {
-            let body =
-                move |nd: &repseq_dsm::DsmNode, i: usize| marks.set(nd, i, (nd.node() + 1) as u32);
-            if cyclic {
-                team.parallel_for_cyclic(96, body)?;
-            } else {
-                team.parallel_for_block(96, body)?;
-            }
-            let mut all = true;
-            for i in 0..96 {
-                let v = marks.get(team.node(), i)?;
-                let expect = if cyclic { (i % 3 + 1) as u32 } else { (i / 32 + 1) as u32 };
-                all &= v == expect;
-            }
-            *ok2.lock() = all;
-            Ok(())
-        })
-        .unwrap();
-        assert!(*ok.lock(), "cyclic={cyclic}");
+        let (ok, _) = rt
+            .run_app(move |team| {
+                let body = move |nd: &repseq_dsm::DsmNode, i: usize| {
+                    marks.set(nd, i, (nd.node() + 1) as u32)
+                };
+                if cyclic {
+                    team.parallel_for_cyclic(96, body)?;
+                } else {
+                    team.parallel_for_block(96, body)?;
+                }
+                let mut all = true;
+                for i in 0..96 {
+                    let v = marks.get(team.node(), i)?;
+                    let expect = if cyclic { (i % 3 + 1) as u32 } else { (i / 32 + 1) as u32 };
+                    all &= v == expect;
+                }
+                Ok(all)
+            })
+            .unwrap();
+        assert!(ok, "cyclic={cyclic}");
     }
 }
 
@@ -157,34 +153,32 @@ fn conditional_parallelization_if_clause() {
     let n = 3;
     let mut rt = Runtime::new(RunConfig::optimized(n));
     let x: ShArray<u64> = rt.alloc_array_page_aligned(64);
-    let done = Arc::new(Mutex::new((0u64, 0u64)));
-    let done2 = Arc::clone(&done);
-    rt.run(move |team| {
-        for round in 0..4usize {
-            let work = if round % 2 == 0 { 100 } else { 1 };
-            let threshold = 10;
-            if work > threshold {
-                team.parallel_for_block(64, move |nd, i| {
-                    let v = x.get(nd, i)?;
-                    x.set(nd, i, v + 1)
-                })?;
-            } else {
-                team.sequential(move |nd| {
-                    for i in 0..64 {
+    let (done, _) = rt
+        .run_app(move |team| {
+            for round in 0..4usize {
+                let work = if round % 2 == 0 { 100 } else { 1 };
+                let threshold = 10;
+                if work > threshold {
+                    team.parallel_for_block(64, move |nd, i| {
                         let v = x.get(nd, i)?;
-                        x.set(nd, i, v + 10)?;
-                    }
-                    Ok(())
-                })?;
+                        x.set(nd, i, v + 1)
+                    })?;
+                } else {
+                    team.sequential(move |nd| {
+                        for i in 0..64 {
+                            let v = x.get(nd, i)?;
+                            x.set(nd, i, v + 10)?;
+                        }
+                        Ok(())
+                    })?;
+                }
             }
-        }
-        let a = x.get(team.node(), 0)?;
-        let b = x.get(team.node(), 63)?;
-        *done2.lock() = (a, b);
-        Ok(())
-    })
-    .unwrap();
-    assert_eq!(*done.lock(), (22, 22), "2 parallel +1s and 2 sequential +10s");
+            let a = x.get(team.node(), 0)?;
+            let b = x.get(team.node(), 63)?;
+            Ok((a, b))
+        })
+        .unwrap();
+    assert_eq!(done, (22, 22), "2 parallel +1s and 2 sequential +10s");
 }
 
 #[test]
@@ -192,24 +186,22 @@ fn locks_inside_parallel_regions() {
     let n = 4;
     let mut rt = Runtime::new(RunConfig::original(n));
     let counter = rt.alloc_var::<u64>();
-    let result = Arc::new(Mutex::new(0u64));
-    let result2 = Arc::clone(&result);
-    rt.run(move |team| {
-        team.parallel(move |nd| {
-            for _ in 0..3 {
-                nd.lock(1)?;
-                let v = counter.get(nd)?;
-                nd.charge(Dur::from_micros(5));
-                counter.set(nd, v + 1)?;
-                nd.unlock(1)?;
-            }
-            Ok(())
-        })?;
-        *result2.lock() = counter.get(team.node())?;
-        Ok(())
-    })
-    .unwrap();
-    assert_eq!(*result.lock(), 12);
+    let (result, _) = rt
+        .run_app(move |team| {
+            team.parallel(move |nd| {
+                for _ in 0..3 {
+                    nd.lock(1)?;
+                    let v = counter.get(nd)?;
+                    nd.charge(Dur::from_micros(5));
+                    counter.set(nd, v + 1)?;
+                    nd.unlock(1)?;
+                }
+                Ok(())
+            })?;
+            counter.get(team.node())
+        })
+        .unwrap();
+    assert_eq!(result, 12);
 }
 
 #[test]
@@ -245,16 +237,9 @@ fn worker_read_all_bulk_reads() {
     let data: ShArray<f64> = rt.alloc_array_page_aligned(700);
     let vals: Vec<f64> = (0..700).map(|i| i as f64 * 0.5).collect();
     rt.preload(data, &vals);
-    let got = Arc::new(Mutex::new(Vec::new()));
-    let got2 = Arc::clone(&got);
-    rt.run(move |team| {
-        let v = team.node().read_all(data)?;
-        *got2.lock() = v;
-        Ok(())
-    })
-    .unwrap();
-    assert_eq!(got.lock().len(), 700);
-    assert_eq!(got.lock()[699], 699.0 * 0.5);
+    let (got, _) = rt.run_app(move |team| team.node().read_all(data)).unwrap();
+    assert_eq!(got.len(), 700);
+    assert_eq!(got[699], 699.0 * 0.5);
 }
 
 #[test]
@@ -293,22 +278,20 @@ fn parallel_first_program() {
             seq_mode: mode,
         });
         let a: ShArray<u64> = rt.alloc_array_page_aligned(n);
-        let ok = Arc::new(Mutex::new(0u64));
-        let ok2 = Arc::clone(&ok);
-        rt.run(move |team| {
-            team.parallel(move |nd| a.set(nd, nd.node(), 5))?;
-            team.sequential(move |nd| {
-                let mut s = 0;
-                for q in 0..a.len() {
-                    s += a.get(nd, q)?;
-                }
-                a.set(nd, 0, s)
-            })?;
-            *ok2.lock() = a.get(team.node(), 0)?;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(*ok.lock(), 15, "{mode:?}");
+        let (sum, _) = rt
+            .run_app(move |team| {
+                team.parallel(move |nd| a.set(nd, nd.node(), 5))?;
+                team.sequential(move |nd| {
+                    let mut s = 0;
+                    for q in 0..a.len() {
+                        s += a.get(nd, q)?;
+                    }
+                    a.set(nd, 0, s)
+                })?;
+                a.get(team.node(), 0)
+            })
+            .unwrap();
+        assert_eq!(sum, 15, "{mode:?}");
     }
 }
 

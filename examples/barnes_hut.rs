@@ -29,15 +29,7 @@ fn main() {
         });
         let app = BarnesHut::setup(&mut rt, cfg);
         let stats = rt.stats();
-        let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
-        let out2 = std::sync::Arc::clone(&out);
-        rt.run(move |team| {
-            let r = app.run(team)?;
-            *out2.lock() = Some(r);
-            Ok(())
-        })
-        .expect("simulation failed");
-        let result = out.lock().take().unwrap();
+        let (result, _) = rt.run_app(move |team| app.run(team)).expect("simulation failed");
         let snap = stats.snapshot();
         println!(
             "{label}\n  total {:>8.2} s   sequential {:>7.2} s   parallel {:>7.2} s",

@@ -25,36 +25,33 @@ fn run(mode: SeqMode) -> (u64, repseq::stats::StatsSnapshot) {
     let sums: ShArray<u64> = rt.alloc_array_page_aligned(nodes);
     let stats = rt.stats();
 
-    let out = std::sync::Arc::new(parking_lot::Mutex::new(0u64));
-    let out2 = std::sync::Arc::clone(&out);
-    rt.run(move |team| {
-        team.start_measurement();
-        for iter in 0..3u64 {
-            // Sequential section: rewrite everything (master-only under
-            // MasterOnly, locally on every node under Replicated).
-            team.sequential(move |nd| {
-                let vals: Vec<u64> =
-                    (0..data.len() as u64).map(|k| k.wrapping_mul(iter + 1)).collect();
-                data.write_range(nd, 0, &vals)
-            })?;
-            // Parallel section: every node reads the whole block.
-            team.parallel(move |nd| {
-                let vals = nd.read_all(data)?;
-                nd.charge(Dur::from_micros(vals.len() as u64 / 50));
-                let s = vals.iter().fold(0u64, |a, &b| a.wrapping_add(b));
-                sums.set(nd, nd.node(), s)
-            })?;
-        }
-        team.end_measurement();
-        let mut check = 0u64;
-        for q in 0..team.n_nodes() {
-            check = check.wrapping_add(sums.get(team.node(), q)?);
-        }
-        *out2.lock() = check;
-        Ok(())
-    })
-    .expect("simulation failed");
-    let check = *out.lock();
+    let (check, _) = rt
+        .run_app(move |team| {
+            team.start_measurement();
+            for iter in 0..3u64 {
+                // Sequential section: rewrite everything (master-only under
+                // MasterOnly, locally on every node under Replicated).
+                team.sequential(move |nd| {
+                    let vals: Vec<u64> =
+                        (0..data.len() as u64).map(|k| k.wrapping_mul(iter + 1)).collect();
+                    data.write_range(nd, 0, &vals)
+                })?;
+                // Parallel section: every node reads the whole block.
+                team.parallel(move |nd| {
+                    let vals = nd.read_all(data)?;
+                    nd.charge(Dur::from_micros(vals.len() as u64 / 50));
+                    let s = vals.iter().fold(0u64, |a, &b| a.wrapping_add(b));
+                    sums.set(nd, nd.node(), s)
+                })?;
+            }
+            team.end_measurement();
+            let mut check = 0u64;
+            for q in 0..team.n_nodes() {
+                check = check.wrapping_add(sums.get(team.node(), q)?);
+            }
+            Ok(check)
+        })
+        .expect("simulation failed");
     (check, stats.snapshot())
 }
 
